@@ -6,7 +6,7 @@ Bell / CHSH / Wigner family of inequalities, exhaustive enumeration
 oracles, and a Monte Carlo coincidence-experiment harness with a CLI.
 """
 
-from ._kernels import NUMBA_ENABLED, backend
+from ._kernels import backend
 from .harness import (
     PAIR_LABELS,
     SINGLET_CHSH_ANGLES,

@@ -1,61 +1,64 @@
-"""Hot numeric kernels, numba-jitted with pure-numpy twins.
+"""Hot numeric kernels, vectorised with numpy.
 
-The jitted path is used when numba imports cleanly; set
-``BELLSIM_NO_NUMBA=1`` to force the numpy implementations.  Both paths
-are written to the same elementwise arithmetic so their outputs are
-bit-identical; ``benchmarks/bench_kernels.py`` compares their speed.
+Outcome sampling, coincidence tabulation and the 4-angle grid scan.
+``bench/run.py`` times each of them as its own layer.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "backend",
     "sample_outcomes",
     "count_outcomes",
     "grid_max_abs_chsh",
 ]
 
-_FLAG = os.environ.get("BELLSIM_NO_NUMBA", "").strip()
-
-NUMBA_ENABLED = False
-if _FLAG in ("", "0"):
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
 
 def backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel implementation, recorded in benchmark manifests."""
+    return "numpy"
 
 
-# --- outcome sampling -------------------------------------------------------
 # category c in 0..3 maps to (d, g): 0 (+,+), 1 (+,-), 2 (-,+), 3 (-,-).
 # c counts how many of the three cumulative thresholds of the trial's
 # settings pair lie at or below the uniform draw u.
 
 
-def _sample_outcomes_np(u, pair_index, cum):
+def sample_outcomes(u, pair_index, cum):
+    """Map uniform draws to +-1 outcome pairs via per-pair cumulative probs.
+
+    ``cum`` has one row per settings pair holding the cumulative sums
+    (p_pp, p_pp+p_pm, p_pp+p_pm+p_mp).
+    """
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
+    cum = np.ascontiguousarray(cum, dtype=np.float64)
     c = (u[:, None] >= cum[pair_index]).sum(axis=1)
     d = np.where(c < 2, 1, -1).astype(np.int8)
     g = np.where(c % 2 == 0, 1, -1).astype(np.int8)
     return d, g
 
 
-def _count_outcomes_np(pair_index, d, g, n_pairs):
+def count_outcomes(pair_index, d, g, n_pairs: int):
+    """Tally the four outcome combinations per settings pair."""
+    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
+    d = np.ascontiguousarray(d, dtype=np.int8)
+    g = np.ascontiguousarray(g, dtype=np.int8)
     cat = ((d < 0).astype(np.int64) << 1) | (g < 0).astype(np.int64)
     code = pair_index * 4 + cat
     return np.bincount(code, minlength=4 * n_pairs).reshape(n_pairs, 4)
 
 
-def _grid_max_abs_chsh_np(corr):
+def grid_max_abs_chsh(corr):
+    """Maximize |C[d,g] + C[d,g'] + C[d',g] - C[d',g']| over a grid.
+
+    ``corr`` is the matrix C[i, j] = E(angle_i, angle_j).  Returns the
+    best value and the (i_d, i_dp, i_g, i_gp) index quadruple (first
+    occurrence in row-major order on ties).
+    """
+    corr = np.ascontiguousarray(corr, dtype=np.float64)
     s = (
         corr[:, None, :, None]
         + corr[:, None, None, :]
@@ -69,91 +72,3 @@ def _grid_max_abs_chsh_np(corr):
     i_dp, rem = divmod(rem, m * m)
     i_g, i_gp = divmod(rem, m)
     return float(flat[best]), (i_d, i_dp, i_g, i_gp)
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _sample_outcomes_nb(u, pair_index, cum):  # pragma: no cover - jitted
-        n = u.shape[0]
-        d = np.empty(n, np.int8)
-        g = np.empty(n, np.int8)
-        for i in range(n):
-            p = pair_index[i]
-            ui = u[i]
-            c = 0
-            for j in range(3):
-                if ui >= cum[p, j]:
-                    c += 1
-            d[i] = 1 if c < 2 else -1
-            g[i] = 1 if c % 2 == 0 else -1
-        return d, g
-
-    @njit(cache=True)
-    def _count_outcomes_nb(pair_index, d, g, n_pairs):  # pragma: no cover
-        counts = np.zeros((n_pairs, 4), np.int64)
-        for i in range(pair_index.shape[0]):
-            cat = 0
-            if d[i] < 0:
-                cat += 2
-            if g[i] < 0:
-                cat += 1
-            counts[pair_index[i], cat] += 1
-        return counts
-
-    @njit(cache=True)
-    def _grid_max_abs_chsh_nb(corr):  # pragma: no cover - jitted
-        m = corr.shape[0]
-        best = -1.0
-        b_d = b_dp = b_g = b_gp = 0
-        for i_d in range(m):
-            for i_dp in range(m):
-                for i_g in range(m):
-                    for i_gp in range(m):
-                        v = abs(
-                            corr[i_d, i_g]
-                            + corr[i_d, i_gp]
-                            + corr[i_dp, i_g]
-                            - corr[i_dp, i_gp]
-                        )
-                        if v > best:
-                            best = v
-                            b_d, b_dp, b_g, b_gp = i_d, i_dp, i_g, i_gp
-        return best, (b_d, b_dp, b_g, b_gp)
-
-
-def sample_outcomes(u, pair_index, cum):
-    """Map uniform draws to +-1 outcome pairs via per-pair cumulative probs.
-
-    ``cum`` has one row per settings pair holding the cumulative sums
-    (p_pp, p_pp+p_pm, p_pp+p_pm+p_mp).
-    """
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
-    cum = np.ascontiguousarray(cum, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _sample_outcomes_nb(u, pair_index, cum)
-    return _sample_outcomes_np(u, pair_index, cum)
-
-
-def count_outcomes(pair_index, d, g, n_pairs: int):
-    """Tally the four outcome combinations per settings pair."""
-    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
-    d = np.ascontiguousarray(d, dtype=np.int8)
-    g = np.ascontiguousarray(g, dtype=np.int8)
-    if NUMBA_ENABLED:
-        return _count_outcomes_nb(pair_index, d, g, n_pairs)
-    return _count_outcomes_np(pair_index, d, g, n_pairs)
-
-
-def grid_max_abs_chsh(corr):
-    """Maximize |C[d,g] + C[d,g'] + C[d',g] - C[d',g']| over a grid.
-
-    ``corr`` is the matrix C[i, j] = E(angle_i, angle_j).  Returns the
-    best value and the (i_d, i_dp, i_g, i_gp) index quadruple (first
-    occurrence in row-major order on ties).
-    """
-    corr = np.ascontiguousarray(corr, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _grid_max_abs_chsh_nb(corr)
-    return _grid_max_abs_chsh_np(corr)

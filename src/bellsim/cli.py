@@ -48,9 +48,6 @@ _ANGLE_HEADER_RE = re.compile(
     r"gamma=([^,]+),gamma_prime=([^,]+)$"
 )
 
-_STATE_NAMES = {kind.value: kind for kind in qstate.StateKind}
-
-
 class UsageError(Exception):
     """Invalid arguments or malformed input; exit code 2."""
 
@@ -74,14 +71,6 @@ def _parse_angles_deg(text: str) -> tuple[float, float, float, float]:
     if not all(math.isfinite(a) for a in angles):
         raise UsageError("angles must be finite")
     return angles
-
-
-def _state_kind(name: str) -> qstate.StateKind:
-    try:
-        return _STATE_NAMES[name]
-    except KeyError:
-        known = ", ".join(sorted(_STATE_NAMES))
-        raise UsageError(f"unknown state {name!r} (available: {known})") from None
 
 
 def _lhv_model(name: str) -> lhv.LhvModel:
@@ -222,16 +211,11 @@ def cmd_chsh_sim(args) -> int:
         raise UsageError("trials must be >= 1")
     seed = _resolve_seed(args.seed)
     if args.state is not None:
-        source = qstate.make_state(_state_kind(args.state))
+        source = qstate.make_state(qstate.StateKind(args.state))
     else:
         source = _lhv_model(args.model)
-    policy = (
-        SettingsPolicy.ROUND_ROBIN
-        if args.schedule == "round-robin"
-        else SettingsPolicy.UNIFORM_RANDOM
-    )
     rad = tuple(math.radians(a) for a in angles_deg)
-    schedule = harness.chsh_schedule(*rad, policy=policy)
+    schedule = harness.chsh_schedule(*rad, policy=SettingsPolicy(args.schedule))
     log = harness.run_trials(source, schedule, args.trials, seed)
     if args.emit_trials:
         write_trials_csv(args.emit_trials, log, angles_deg)
@@ -279,7 +263,7 @@ def cmd_lhv_sim(args) -> int:
 def cmd_wigner_scan(args) -> int:
     if args.steps < 3:
         raise UsageError("steps must be >= 3")
-    kind = _state_kind(args.state)
+    kind = qstate.StateKind(args.state)
     source = inequalities.QuantumBornSource(qstate.make_state(kind))
     points = harness.wigner_scan(
         math.radians(args.theta1),
@@ -315,11 +299,7 @@ def _quartet_rows():
 
 
 def cmd_enumerate(args) -> int:
-    sign = (
-        inequalities.CorrelationSign.CORRELATED
-        if args.sign == "correlated"
-        else inequalities.CorrelationSign.ANTICORRELATED
-    )
+    sign = inequalities.CorrelationSign(args.sign)
     if args.sextets:
         sextets = inequalities.enumerate_sextets(sign)
         if args.format == "json":
@@ -381,7 +361,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    kind = _state_kind(args.state)
+    kind = qstate.StateKind(args.state)
     if not 0.0 < args.coarse_step <= 15.0:
         raise UsageError("coarse-step must be in (0, 15] degrees")
     angles, s_star = harness.maximize_chsh(
@@ -414,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    state_names = sorted(_STATE_NAMES)
+    state_names = sorted(kind.value for kind in qstate.StateKind)
 
     p = sub.add_parser("chsh-sim", help="simulate a four-setting run")
     group = p.add_mutually_exclusive_group(required=True)

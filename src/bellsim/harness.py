@@ -25,6 +25,7 @@ from .inequalities import (
     CorrelationSource,
     EmpiricalSource,
     QuantumClosedFormSource,
+    chsh_s,
     wigner_check,
 )
 from .lhv import LhvModel
@@ -133,13 +134,12 @@ def _block_slices(n: int):
 
 
 def _quantum_cumulative(state: EntangledState, pairs) -> np.ndarray:
-    cum = np.empty((len(pairs), 3))
-    for i, (delta, gamma) in enumerate(pairs):
-        dist = joint_distribution(state, delta, gamma)
-        cum[i, 0] = dist.p_pp
-        cum[i, 1] = dist.p_pp + dist.p_pm
-        cum[i, 2] = dist.p_pp + dist.p_pm + dist.p_mp
-    return cum
+    return np.array(
+        [
+            np.cumsum(joint_distribution(state, d, g).as_array()[:3])
+            for d, g in pairs
+        ]
+    )
 
 
 def _generate_block(source, schedule, cum, child, start, stop):
@@ -298,22 +298,6 @@ def analyze_chsh(
     )
 
 
-def _closed_form_matrix(kind: StateKind, angles: np.ndarray) -> np.ndarray:
-    mult = 1.0 if kind.particle is ParticleKind.SPIN_HALF else 2.0
-    base = np.cos(mult * (angles[None, :] - angles[:, None]))
-    return -base if kind.anticorrelated else base
-
-
-def _s_closed_form(kind: StateKind, a: np.ndarray) -> float:
-    delta, delta_prime, gamma, gamma_prime = a
-    return (
-        closed_form_correlation(kind, delta, gamma)
-        + closed_form_correlation(kind, delta, gamma_prime)
-        + closed_form_correlation(kind, delta_prime, gamma)
-        - closed_form_correlation(kind, delta_prime, gamma_prime)
-    )
-
-
 def maximize_chsh(
     kind: StateKind, coarse_step_deg: float = 15.0, refine_iters: int = 200
 ) -> tuple[tuple[float, float, float, float], float]:
@@ -329,18 +313,19 @@ def maximize_chsh(
         raise ValueError("coarse_step_deg must be in (0, 15]")
     step = math.radians(coarse_step_deg)
     grid = np.arange(0.0, 2.0 * math.pi - 1e-12, step)
-    corr = _closed_form_matrix(kind, grid)
+    corr = closed_form_correlation(kind, grid[:, None], grid[None, :])
     _, (i_d, i_dp, i_g, i_gp) = _kernels.grid_max_abs_chsh(corr)
     angles = np.array([grid[i_d], grid[i_dp], grid[i_g], grid[i_gp]])
 
-    best = abs(_s_closed_form(kind, angles))
+    source = QuantumClosedFormSource(kind)
+    best = abs(chsh_s(source, *angles))
     for _ in range(refine_iters):
         improved = False
         for i in range(4):
             for move in (step, -step):
                 trial = angles.copy()
                 trial[i] += move
-                value = abs(_s_closed_form(kind, trial))
+                value = abs(chsh_s(source, *trial))
                 if value > best:
                     best = value
                     angles = trial
@@ -352,14 +337,14 @@ def maximize_chsh(
 
     # normalize to positive S: shifting both gamma angles by the half
     # period of the correlation law flips the sign of every term
-    if _s_closed_form(kind, angles) < 0.0:
+    if chsh_s(source, *angles) < 0.0:
         half_period = (
             math.pi if kind.particle is ParticleKind.SPIN_HALF else math.pi / 2
         )
         angles[2] += half_period
         angles[3] += half_period
     angles = np.mod(angles, 2.0 * math.pi)
-    s_star = _s_closed_form(kind, angles)
+    s_star = chsh_s(source, *angles)
     return tuple(float(a) for a in angles), float(s_star)
 
 

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lhv import LhvModel, estimate_correlation, quadrature_correlation
+from .lhv import LhvModel, _midpoints, quadrature_correlation
 from .qstate import (
     EntangledState,
     JointDistribution,
@@ -169,45 +169,17 @@ class QuantumBornSource(CorrelationSource):
 
 
 class LhvSource(CorrelationSource):
-    """Correlations of a hidden-variable model, by quadrature or Monte Carlo.
+    """Correlations and joints of a hidden-variable model by midpoint
+    quadrature over ``nodes`` nodes."""
 
-    ``method`` is "quadrature" (uses ``nodes`` midpoint nodes; joints
-    available) or "montecarlo" (uses ``n`` samples per requested pair,
-    seeded from ``seed`` plus a per-call counter; correlations only).
-    """
-
-    def __init__(
-        self,
-        model: LhvModel,
-        method: str = "quadrature",
-        nodes: int = 4096,
-        n: int = 100_000,
-        seed: int = 0,
-    ):
-        if method not in ("quadrature", "montecarlo"):
-            raise ValueError(f"unknown method {method!r}")
+    def __init__(self, model: LhvModel, nodes: int = 4096):
         self.model = model
-        self.method = method
         self.nodes = nodes
-        self.n = n
-        self.seed = seed
-        self._calls = 0
 
     def correlation(self, delta: float, gamma: float) -> float:
-        if self.method == "quadrature":
-            return quadrature_correlation(self.model, delta, gamma, self.nodes)
-        self._calls += 1
-        return estimate_correlation(
-            self.model, delta, gamma, self.n, self.seed + self._calls
-        ).mean
+        return quadrature_correlation(self.model, delta, gamma, self.nodes)
 
     def joint(self, delta: float, gamma: float) -> JointDistribution:
-        if self.method != "quadrature":
-            raise JointUnavailableError(
-                "joint probabilities require the quadrature method"
-            )
-        from .lhv import _midpoints  # midpoint grid shared with quadrature
-
         lam, weight = _midpoints(self.model.support, self.nodes)
         rho = self.model.pdf(lam) * weight
         d = self.model.response_d(lam, delta)
@@ -219,7 +191,7 @@ class LhvSource(CorrelationSource):
         return JointDistribution(p_pp=p[0], p_pm=p[1], p_mp=p[2], p_mm=p[3])
 
     def describe(self) -> str:
-        return f"lhv:{self.model.name}:{self.method}"
+        return f"lhv:{self.model.name}:quadrature"
 
 
 class EmpiricalSource(CorrelationSource):

@@ -203,10 +203,14 @@ def correlation(state: EntangledState, delta: float, gamma: float) -> float:
     return joint_distribution(state, delta, gamma).correlation()
 
 
-def closed_form_correlation(kind: StateKind, delta: float, gamma: float) -> float:
+def closed_form_correlation(kind: StateKind, delta, gamma):
     """Analytic correlation: -+cos(gamma - delta) for spin pairs,
     +-cos(2(gamma - delta)) for photon pairs (upper sign: anticorrelated).
+
+    ``delta`` and ``gamma`` broadcast against each other; scalar angles
+    give a Python float.
     """
     mult = 1.0 if kind.particle is ParticleKind.SPIN_HALF else 2.0
-    base = math.cos(mult * (gamma - delta))
-    return -base if kind.anticorrelated else base
+    base = np.cos(mult * (np.asarray(gamma) - np.asarray(delta)))
+    e = -base if kind.anticorrelated else base
+    return float(e) if e.ndim == 0 else e

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +334,20 @@ class TestMaximizeCommand:
         code, _, stderr = run(capsys, "maximize", "--coarse-step", "20")
         assert code == 2
         assert "coarse-step" in stderr
+
+
+def test_python_dash_m_runs_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "bellsim", "enumerate"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[0].startswith("d_delta:")
 
 
 def test_usage_error_exit_code(capsys):

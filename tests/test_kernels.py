@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from bellsim import _kernels
 
@@ -62,32 +61,5 @@ def test_grid_max_against_brute_force():
     )
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba path disabled")
-class TestBackendParity:
-    def test_sample_outcomes_bitwise_equal(self):
-        u, pair_index, cum = random_inputs(5)
-        d_nb, g_nb = _kernels._sample_outcomes_nb(u, pair_index, cum)
-        d_np, g_np = _kernels._sample_outcomes_np(u, pair_index, cum)
-        assert np.array_equal(d_nb, d_np)
-        assert np.array_equal(g_nb, g_np)
-
-    def test_count_outcomes_equal(self):
-        u, pair_index, cum = random_inputs(6, k=3)
-        d, g = _kernels.sample_outcomes(u, pair_index, cum)
-        assert np.array_equal(
-            _kernels._count_outcomes_nb(pair_index, d, g, 3),
-            _kernels._count_outcomes_np(pair_index, d, g, 3),
-        )
-
-    def test_grid_max_equal(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            corr = rng.uniform(-1, 1, size=(24, 24))
-            v_nb, idx_nb = _kernels._grid_max_abs_chsh_nb(corr)
-            v_np, idx_np = _kernels._grid_max_abs_chsh_np(corr)
-            assert v_nb == v_np
-            assert tuple(idx_nb) == tuple(idx_np)
-
-
 def test_backend_reports_a_name():
-    assert _kernels.backend() in ("numba", "numpy")
+    assert _kernels.backend() == "numpy"

@@ -249,6 +249,16 @@ class TestClosedForm:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_broadcast_matches_scalar(self, kind):
+        grid = np.radians(np.arange(0.0, 360.0, 5.0))
+        matrix = closed_form_correlation(kind, grid[:, None], grid[None, :])
+        assert matrix.shape == (72, 72)
+        for i, delta in enumerate(grid):
+            for j, gamma in enumerate(grid):
+                assert matrix[i, j] == closed_form_correlation(kind, delta, gamma)
+        assert type(closed_form_correlation(kind, 0.25, 1.5)) is float
+
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pi_offset_behaviour(kind):
