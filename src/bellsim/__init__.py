@@ -37,7 +37,6 @@ from .inequalities import (
     QuantumClosedFormSource,
     Sextet,
     SextetMixtureSource,
-    WignerProbabilities,
     bell_d1,
     chsh_d3,
     chsh_d4,
@@ -45,7 +44,6 @@ from .inequalities import (
     enumerate_quartets,
     enumerate_sextets,
     quartet_mixture_s,
-    sextet_mixture_probabilities,
     wigner_check,
 )
 from .lhv import (

@@ -197,7 +197,6 @@ def read_trials_csv(path: str) -> harness.TrialLog:
         pair_index=np.asarray(pair_index, dtype=np.int64),
         outcome_d=np.asarray(outcome_d, dtype=np.int8),
         outcome_g=np.asarray(outcome_g, dtype=np.int8),
-        seed=0,
         source_description=f"file:{path}",
     )
 
@@ -265,11 +264,22 @@ def cmd_wigner_scan(args) -> int:
         raise UsageError("steps must be >= 3")
     kind = qstate.StateKind(args.state)
     source = inequalities.QuantumBornSource(qstate.make_state(kind))
+    sign = (
+        inequalities.CorrelationSign.ANTICORRELATED
+        if kind.anticorrelated
+        else inequalities.CorrelationSign.CORRELATED
+    )
+    theta3 = args.theta3
+    if theta3 is None:
+        # photon correlations have half the spin period, so a photon scan
+        # to 90 degrees would read a margin of 0 on every row
+        theta3 = 90.0 if kind.particle is qstate.ParticleKind.SPIN_HALF else 45.0
     points = harness.wigner_scan(
         math.radians(args.theta1),
-        math.radians(args.theta3),
+        math.radians(theta3),
         args.steps,
         source=source,
+        sign=sign,
     )
     lines = ["theta2_deg,lhs,rhs,margin"]
     lines.extend(
@@ -429,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner-scan", help="three-angle inequality margins")
     p.add_argument("--theta1", type=float, default=0.0, help="degrees")
-    p.add_argument("--theta3", type=float, default=90.0, help="degrees")
+    p.add_argument("--theta3", type=float, help="degrees (default: 90 spin, 45 photon)")
     p.add_argument("--steps", type=int, default=19)
     p.add_argument(
         "--state", choices=state_names, default="spin-anticorrelated"
@@ -481,3 +491,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

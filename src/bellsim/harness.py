@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .inequalities import (
+    CorrelationSign,
     CorrelationSource,
     EmpiricalSource,
     QuantumClosedFormSource,
@@ -112,7 +113,6 @@ class TrialLog:
     pair_index: np.ndarray
     outcome_d: np.ndarray
     outcome_g: np.ndarray
-    seed: int
     source_description: str
 
     def __len__(self):
@@ -211,7 +211,6 @@ def run_trials(
         pair_index=pair_index,
         outcome_d=outcome_d,
         outcome_g=outcome_g,
-        seed=seed,
         source_description=description,
     )
 
@@ -361,13 +360,17 @@ def wigner_scan(
     theta3: float,
     steps: int,
     source: CorrelationSource | None = None,
+    sign: CorrelationSign = CorrelationSign.ANTICORRELATED,
 ) -> list[WignerScanPoint]:
     """Evaluate the three-angle inequality on a theta2 grid.
 
     The grid spans [theta1, theta3] inclusive with ``steps`` points.
-    The default source is the spin singlet closed form, for which the
-    margin is (sin t2 + cos t2 - 1)/4 when theta1 = 0 and theta3 =
-    pi/2: positive strictly inside the interval, maximal at pi/4.
+    ``sign`` selects the inequality's sign form and must match the
+    source.  The default source is the spin singlet closed form, for
+    which the margin is (sin t2 + cos t2 - 1)/4 when theta1 = 0 and
+    theta3 = pi/2: positive strictly inside the interval, maximal at
+    pi/4.  Every maximally entangled state gives the same curve in its
+    own sign form, with the angles halved for photon pairs.
     """
     if steps < 3:
         raise ValueError("steps must be >= 3")
@@ -375,7 +378,7 @@ def wigner_scan(
         source = QuantumClosedFormSource(StateKind.SPIN_ANTICORRELATED)
     points = []
     for theta2 in np.linspace(theta1, theta3, steps):
-        report = wigner_check(source, theta1, float(theta2), theta3)
+        report = wigner_check(source, theta1, float(theta2), theta3, sign)
         points.append(
             WignerScanPoint(
                 theta2=float(theta2),

@@ -19,7 +19,7 @@ Implemented bounds:
 * :func:`chsh_d4` - |<S>| <= 2 with
   S = E(d,g) + E(d,g') + E(d',g) - E(d',g').
 * :func:`wigner_check` - the three-angle probability inequality for
-  strictly (anti)correlated pairs.
+  strictly (anti)correlated pairs, read in the pair's sign form.
 
 The enumeration oracles ground the convex bounds in integer
 arithmetic: :func:`enumerate_quartets` lists all 16 joint outcome
@@ -67,8 +67,6 @@ __all__ = [
     "quartet_mixture_s",
     "Sextet",
     "enumerate_sextets",
-    "WignerProbabilities",
-    "sextet_mixture_probabilities",
 ]
 
 # analytic sources count as violating only beyond this margin; statistical
@@ -84,6 +82,11 @@ class CorrelationSign(enum.Enum):
 
     ANTICORRELATED = "anticorrelated"
     CORRELATED = "correlated"
+
+    @property
+    def factor(self) -> int:
+        """-1 or +1 such that g = factor * d at a shared analyzer angle."""
+        return -1 if self is CorrelationSign.ANTICORRELATED else 1
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,13 @@ class JointUnavailableError(ValueError):
 
 
 class CorrelationSource:
-    """Provider of E(delta, gamma); subclasses may also provide joints."""
+    """Provider of E(delta, gamma); subclasses may also provide joints.
+
+    A subclass that provides joints gets E from them by default.
+    """
 
     def correlation(self, delta: float, gamma: float) -> float:
-        raise NotImplementedError
+        return self.joint(delta, gamma).correlation()
 
     def joint(self, delta: float, gamma: float) -> JointDistribution:
         raise JointUnavailableError(
@@ -157,9 +163,6 @@ class QuantumBornSource(CorrelationSource):
 
     def __init__(self, state: EntangledState):
         self.state = state
-
-    def correlation(self, delta: float, gamma: float) -> float:
-        return joint_distribution(self.state, delta, gamma).correlation()
 
     def joint(self, delta: float, gamma: float) -> JointDistribution:
         return joint_distribution(self.state, delta, gamma)
@@ -264,10 +267,7 @@ def bell_d1(
     e_dg = source.correlation(delta, gamma)
     e_dgp = source.correlation(delta, gamma_prime)
     e_ggp = source.correlation(gamma, gamma_prime)
-    if sign is CorrelationSign.ANTICORRELATED:
-        lhs = abs(e_dg - e_dgp) - e_ggp
-    else:
-        lhs = abs(e_dg - e_dgp) + e_ggp
+    lhs = abs(e_dg - e_dgp) + sign.factor * e_ggp
     return _report(
         "bell_d1",
         lhs,
@@ -328,14 +328,11 @@ def chsh_d3(
     delta_prime: float,
     gamma: float,
     gamma_prime: float,
-    sign: CorrelationSign | None = None,
 ) -> InequalityReport:
     """Four-setting inequality |E(d,g) - E(d,g')| + E(d',g') + E(d',g) <= 2.
 
     This displayed form holds for correlated and anticorrelated pairs
-    alike; ``sign`` is accepted for symmetry with :func:`bell_d1` and
-    echoed in the report inputs without changing the left-hand side.
-    Note the lhs differs from |S|; use :func:`chsh_d4` for that.
+    alike.  Note the lhs differs from |S|; use :func:`chsh_d4` for that.
     """
     e_dg = source.correlation(delta, gamma)
     e_dgp = source.correlation(delta, gamma_prime)
@@ -351,38 +348,44 @@ def chsh_d3(
             "delta_prime": delta_prime,
             "gamma": gamma,
             "gamma_prime": gamma_prime,
-            "sign": sign.value if sign is not None else None,
             "source": source.describe(),
         },
     )
 
 
 def wigner_check(
-    source: CorrelationSource, theta1: float, theta2: float, theta3: float
+    source: CorrelationSource,
+    theta1: float,
+    theta2: float,
+    theta3: float,
+    sign: CorrelationSign,
 ) -> InequalityReport:
-    """Three-angle probability inequality for strictly anticorrelated pairs.
+    """Three-angle probability inequality for strictly (anti)correlated pairs.
 
-    With both wings restricted to the shared angles theta1..theta3, the
-    three measurable joint probabilities
+    With both wings restricted to the shared angles theta1..theta3 and
+    g = -sign.factor (+1 for anticorrelated pairs, -1 for correlated
+    ones), the three measurable joint probabilities
 
-        lhs = P(D at theta3 -> -1, G at theta2 -> +1)
-        rhs = P(D at theta1 -> +1, G at theta2 -> +1)
-            + P(D at theta1 -> -1, G at theta3 -> +1)
+        lhs = P(D at theta3 -> -1, G at theta2 -> g)
+        rhs = P(D at theta1 -> +1, G at theta2 -> g)
+            + P(D at theta1 -> -1, G at theta3 -> g)
 
-    satisfy lhs <= rhs for every anticorrelated mixture of fixed-outcome
-    sextets, because the lhs event set splits exactly into disjoint
-    subsets of the two rhs event sets.  For the spin singlet the three
-    probabilities are half cos^2((theta2-theta3)/2),
-    half sin^2((theta2-theta1)/2) and half cos^2((theta3-theta1)/2),
-    and the inequality fails on a wide range of angles.
+    satisfy lhs <= rhs for every mixture of fixed-outcome sextets of
+    that sign.  G at theta_j -> g pins d_j = -1, so the lhs event set
+    {d2 = d3 = -1} splits exactly into disjoint subsets of the two rhs
+    event sets {d1 = +1, d2 = -1} and {d1 = -1, d3 = -1}.  For the spin
+    states the three probabilities are half cos^2((theta2-theta3)/2),
+    half sin^2((theta2-theta1)/2) and half cos^2((theta3-theta1)/2);
+    photon states read the same with the angles doubled.  The
+    inequality fails on a wide range of angles.
 
-    The source must provide joint probabilities.  For correlated-pair
-    mixtures use :func:`sextet_mixture_probabilities`, whose second
-    probability reads the sign-matched outcome pattern.
+    The source must provide joint probabilities.
     """
-    lhs = source.joint(theta3, theta2).p_mp
+    g = -sign.factor
+    lhs = source.joint(theta3, theta2).probability(-1, g)
     rhs = (
-        source.joint(theta1, theta2).p_pp + source.joint(theta1, theta3).p_mp
+        source.joint(theta1, theta2).probability(1, g)
+        + source.joint(theta1, theta3).probability(-1, g)
     )
     return _report(
         "wigner",
@@ -392,6 +395,7 @@ def wigner_check(
             "theta1": theta1,
             "theta2": theta2,
             "theta3": theta3,
+            "sign": sign.value,
             "source": source.describe(),
         },
     )
@@ -410,17 +414,16 @@ class Quartet:
     g_gamma: int
     d_delta_prime: int
     g_gamma_prime: int
-    s_value: int
 
-    def __post_init__(self):
-        s = (
+    @property
+    def s_value(self) -> int:
+        """S = d*g + d*g' + d'*g - d'*g', always +2 or -2."""
+        return (
             self.d_delta * self.g_gamma
             + self.d_delta * self.g_gamma_prime
             + self.d_delta_prime * self.g_gamma
             - self.d_delta_prime * self.g_gamma_prime
         )
-        if s != self.s_value:
-            raise ValueError(f"s_value {self.s_value} does not match outcomes ({s})")
 
 
 def enumerate_quartets() -> list[Quartet]:
@@ -430,11 +433,7 @@ def enumerate_quartets() -> list[Quartet]:
     every quartet, which is the integer fact behind the |<S>| <= 2
     bound for any mixture.
     """
-    out = []
-    for d, g, dp, gp in itertools.product((1, -1), repeat=4):
-        s = d * g + d * gp + dp * g - dp * gp
-        out.append(Quartet(d, g, dp, gp, s))
-    return out
+    return [Quartet(*outcomes) for outcomes in itertools.product((1, -1), repeat=4)]
 
 
 def quartet_mixture_s(weights: Sequence[float]) -> float:
@@ -458,68 +457,16 @@ class Sextet:
     sign: CorrelationSign
 
     def __post_init__(self):
-        expect = -1 if self.sign is CorrelationSign.ANTICORRELATED else 1
-        if any(gj != expect * dj for dj, gj in zip(self.d, self.g)):
+        if any(gj != self.sign.factor * dj for dj, gj in zip(self.d, self.g)):
             raise ValueError("sextet violates the (anti)correlation constraint")
 
 
 def enumerate_sextets(sign: CorrelationSign) -> list[Sextet]:
     """The 8 constraint-consistent sextets, ordered by d with +1 first."""
-    factor = -1 if sign is CorrelationSign.ANTICORRELATED else 1
-    out = []
-    for d in itertools.product((1, -1), repeat=3):
-        g = tuple(factor * dj for dj in d)
-        out.append(Sextet(d=d, g=g, sign=sign))
-    return out
-
-
-@dataclass(frozen=True)
-class WignerProbabilities:
-    """The three boxed-measurement probabilities of the sextet argument.
-
-    In each, the two named outcomes are the measured ones; the rest of
-    the sextet is summed over.  With s = -1 for anticorrelated pairs
-    and +1 for correlated ones:
-
-        rhs_first  = P(D at theta1 -> +1, G at theta2 -> +1)
-        rhs_second = P(D at theta1 -> -1, G at theta3 -> -s)
-        lhs        = P(D at theta3 -> -1, G at theta2 -> +1)
-
-    (the G outcome in rhs_second is the one that pins d3 = -1).  The
-    inequality reads lhs <= rhs_first + rhs_second.
-    """
-
-    lhs: float
-    rhs_first: float
-    rhs_second: float
-
-    def margin(self) -> float:
-        return self.lhs - (self.rhs_first + self.rhs_second)
-
-
-def sextet_mixture_probabilities(
-    weights: Sequence[float],
-    sign: CorrelationSign = CorrelationSign.ANTICORRELATED,
-) -> WignerProbabilities:
-    """Wigner probabilities of a convex mixture of the 8 sextets.
-
-    Each probability is the total weight of the sextets matching the
-    corresponding outcome pattern (unconstrained positions summed
-    over).  The lhs pattern decomposes exactly into two disjoint
-    pieces, one inside each rhs pattern, so the mixture can never
-    violate the inequality, whichever correlation sign ties the wings.
-    """
-    w = _validated_weights(weights, 8)
-    sextets = enumerate_sextets(sign)
-    g3_boxed = 1 if sign is CorrelationSign.ANTICORRELATED else -1
-    rhs_first = sum(wi for wi, s in zip(w, sextets) if s.d[0] == 1 and s.g[1] == 1)
-    rhs_second = sum(
-        wi for wi, s in zip(w, sextets) if s.d[0] == -1 and s.g[2] == g3_boxed
-    )
-    lhs = sum(wi for wi, s in zip(w, sextets) if s.d[2] == -1 and s.g[1] == 1)
-    return WignerProbabilities(
-        lhs=float(lhs), rhs_first=float(rhs_first), rhs_second=float(rhs_second)
-    )
+    return [
+        Sextet(d=d, g=tuple(sign.factor * dj for dj in d), sign=sign)
+        for d in itertools.product((1, -1), repeat=3)
+    ]
 
 
 class SextetMixtureSource(CorrelationSource):
@@ -557,9 +504,6 @@ class SextetMixtureSource(CorrelationSource):
         return JointDistribution(
             p_pp=p[(1, 1)], p_pm=p[(1, -1)], p_mp=p[(-1, 1)], p_mm=p[(-1, -1)]
         )
-
-    def correlation(self, delta: float, gamma: float) -> float:
-        return self.joint(delta, gamma).correlation()
 
     def describe(self) -> str:
         return f"sextet-mixture:{self.sign.value}"

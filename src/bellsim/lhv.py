@@ -62,10 +62,7 @@ class LhvModel:
     """Hidden-variable density plus deterministic +-1 response functions.
 
     ``support`` is the (lo, hi) interval of the density, or None for an
-    unbounded density (Monte Carlo only).  ``anticorrelated`` records
-    whether the model reproduces strictly opposite outcomes at equal
-    analyzer angles; evaluators use it to pick the matching sign variant
-    of the three-correlation inequality.
+    unbounded density (Monte Carlo only).
     """
 
     name: str
@@ -74,7 +71,6 @@ class LhvModel:
     response_d: Callable[[np.ndarray, float], np.ndarray]
     response_g: Callable[[np.ndarray, float], np.ndarray]
     support: tuple[float, float] | None
-    anticorrelated: bool = True
 
     def __post_init__(self):
         if self.support is not None:
@@ -188,7 +184,6 @@ def sign_model() -> LhvModel:
         response_d=lambda lam, angle: _sign_of_cos(lam, angle),
         response_g=lambda lam, angle: -_sign_of_cos(lam, angle),
         support=(0.0, TWO_PI),
-        anticorrelated=True,
     )
 
 
@@ -201,7 +196,6 @@ def constant_model() -> LhvModel:
         response_d=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
         response_g=lambda lam, angle: -np.ones(np.shape(lam), dtype=np.int8),
         support=(0.0, 1.0),
-        anticorrelated=True,
     )
 
 
@@ -238,7 +232,6 @@ def quantum_mimic_attempt() -> LhvModel:
         response_d=lambda lam, angle: _sign_of_cos(lam, angle),
         response_g=lambda lam, angle: -_sign_of_cos(lam, angle),
         support=(0.0, TWO_PI),
-        anticorrelated=True,
     )
 
 

@@ -165,6 +165,12 @@ class JointDistribution:
     def as_array(self) -> np.ndarray:
         return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
 
+    def probability(self, d: int, g: int) -> float:
+        """P(D -> d, G -> g) for outcomes d, g in {+1, -1}."""
+        if d == 1:
+            return self.p_pp if g == 1 else self.p_pm
+        return self.p_mp if g == 1 else self.p_mm
+
     def correlation(self) -> float:
         """E = p_pp + p_mm - p_mp - p_pm."""
         return self.p_pp + self.p_mm - self.p_mp - self.p_pm

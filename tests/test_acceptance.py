@@ -15,6 +15,7 @@ from bellsim.cli import main
 from bellsim.inequalities import (
     CorrelationSign,
     LhvSource,
+    QuantumBornSource,
     QuantumClosedFormSource,
     SextetMixtureSource,
     bell_d1,
@@ -25,7 +26,7 @@ from bellsim.inequalities import (
     wigner_check,
 )
 from bellsim.lhv import builtin_models
-from bellsim.qstate import StateKind, make_state
+from bellsim.qstate import ParticleKind, StateKind, make_state
 
 SQRT2 = math.sqrt(2.0)
 TWO_SQRT2 = 2.0 * SQRT2
@@ -92,32 +93,41 @@ def test_criterion_4_quantum_chsh_maximum():
 
 
 def test_criterion_5_wigner_violation_curve():
-    points = harness.wigner_scan(0.0, math.pi / 2, 19)
-    interior = points[1:-1]
-    assert all(p.margin > 0.0 for p in interior)
-    best = max(points, key=lambda p: p.margin)
-    grid_step = (math.pi / 2) / 18
-    assert abs(best.theta2 - math.pi / 4) <= grid_step + 1e-12
-    at_45 = points[9]
-    assert abs(math.degrees(at_45.theta2) - 45.0) <= 1e-9
-    assert abs(at_45.margin - 0.103553) <= 1e-6
-    report(
-        5,
-        "wigner violation curve",
-        f"margin(45deg)={at_45.margin:.9f}, argmax={math.degrees(best.theta2):.2f}deg",
-    )
+    # each state in its own sign form, scanned from 0 to the outer angle at
+    # which its curve matches the singlet's: 90 degrees for spin pairs, 45
+    # for photon pairs, whose correlation law has half the period
+    peaks = []
+    for kind in StateKind:
+        sign = (
+            CorrelationSign.ANTICORRELATED
+            if kind.anticorrelated
+            else CorrelationSign.CORRELATED
+        )
+        theta3 = math.pi / 2 if kind.particle is ParticleKind.SPIN_HALF else math.pi / 4
+        source = QuantumBornSource(make_state(kind))
+        points = harness.wigner_scan(0.0, theta3, 19, source=source, sign=sign)
+        interior = points[1:-1]
+        assert all(p.margin > 0.0 for p in interior), kind
+        best = max(points, key=lambda p: p.margin)
+        assert abs(best.theta2 - theta3 / 2) <= theta3 / 18 + 1e-12, kind
+        mid = points[9]
+        assert abs(mid.theta2 - theta3 / 2) <= 1e-12, kind
+        assert abs(mid.margin - 0.103553) <= 1e-6, kind
+        peaks.append(f"{kind.value}@{math.degrees(mid.theta2):g}deg={mid.margin:.9f}")
+    report(5, "wigner violation curve", ", ".join(peaks))
 
 
 def test_criterion_6_sextet_soundness():
     rng = np.random.default_rng(2025)
     thetas = (0.0, math.pi / 4, math.pi / 2)
     worst = -1.0
-    for w in rng.dirichlet(np.ones(8), size=10_000):
-        source = SextetMixtureSource(w, CorrelationSign.ANTICORRELATED, thetas)
-        result = wigner_check(source, *thetas)
-        worst = max(worst, result.margin)
-        assert result.margin <= 1e-12
-    report(6, "sextet mixture soundness", f"max margin = {worst:.3e}")
+    for sign in CorrelationSign:
+        for w in rng.dirichlet(np.ones(8), size=10_000):
+            source = SextetMixtureSource(w, sign, thetas)
+            result = wigner_check(source, *thetas, sign)
+            worst = max(worst, result.margin)
+            assert result.margin <= 1e-12
+    report(6, "sextet mixture soundness", f"max margin, both signs = {worst:.3e}")
 
 
 def test_criterion_7_lhv_ceiling():

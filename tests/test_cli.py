@@ -237,6 +237,22 @@ class TestWignerScanCommand:
         }
         assert abs(rows[45.0] - 0.103553) < 1e-6
 
+    @pytest.mark.parametrize(
+        "state",
+        ["spin-anticorrelated", "spin-correlated", "photon-correlated",
+         "photon-anticorrelated"],
+    )
+    def test_every_state_peaks_at_midpoint(self, capsys, state):
+        # the default scan reads each state's own sign form over its own
+        # default outer angle, so all four give the singlet's curve
+        code, stdout, _ = run(capsys, "wigner-scan", "--state", state, "--steps", "19")
+        assert code == 0
+        margins = [float(l.split(",")[3]) for l in stdout.strip().splitlines()[1:]]
+        assert len(margins) == 19
+        assert max(margins) == margins[9]
+        assert abs(margins[9] - 0.103553) < 1e-6
+        assert all(m > 0 for m in margins[1:-1])
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         code, stdout, _ = run(capsys, "wigner-scan", "--steps", "5", "--out", str(out))
@@ -336,11 +352,12 @@ class TestMaximizeCommand:
         assert "coarse-step" in stderr
 
 
-def test_python_dash_m_runs_cli():
+@pytest.mark.parametrize("module", ["bellsim", "bellsim.cli"])
+def test_python_dash_m_runs_cli(module):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(
-        [sys.executable, "-m", "bellsim", "enumerate"],
+        [sys.executable, "-m", module, "enumerate"],
         capture_output=True,
         text=True,
         env=env,

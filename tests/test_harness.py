@@ -125,7 +125,6 @@ class TestTabulate:
             pair_index=np.zeros(0, dtype=np.int64),
             outcome_d=np.zeros(0, dtype=np.int8),
             outcome_g=np.zeros(0, dtype=np.int8),
-            seed=0,
             source_description="empty",
         )
         assert np.all(tabulate(log).counts == 0)

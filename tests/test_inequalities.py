@@ -21,7 +21,6 @@ from bellsim.inequalities import (
     enumerate_quartets,
     enumerate_sextets,
     quartet_mixture_s,
-    sextet_mixture_probabilities,
     wigner_check,
 )
 from bellsim.lhv import LhvModel, sign_model
@@ -31,6 +30,7 @@ SQRT2 = math.sqrt(2.0)
 TWO_PI = 2 * math.pi
 
 SINGLET_CF = QuantumClosedFormSource(StateKind.SPIN_ANTICORRELATED)
+ANTI = CorrelationSign.ANTICORRELATED
 
 # quartet table as published: outcome rows (d, g, d', g') per column, then S
 EXPECTED_D = (1, 1, 1, 1, 1, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -63,7 +63,6 @@ def correlated_sign_model():
         response_d=respond,
         response_g=respond,
         support=(0.0, TWO_PI),
-        anticorrelated=False,
     )
 
 
@@ -144,47 +143,57 @@ class TestSextets:
 
 
 class TestSextetMixtureProbabilities:
+    THETAS = (0.1, 0.9, 2.0)
+
     def test_decomposition_identities(self):
-        # each pattern probability is exactly the weight sum of its two
-        # matching sextets; the lhs pair splits between the rhs sets
+        # each probability wigner_check reads is exactly the weight sum of
+        # its two matching sextets, the same d-patterns for both signs; the
+        # lhs pair splits between the rhs sets
         rng = np.random.default_rng(29)
+        t1, t2, t3 = self.THETAS
+        lhs_ds = [(1, -1, -1), (-1, -1, -1)]
+        rhs1_ds = [(1, -1, 1), (1, -1, -1)]
+        rhs2_ds = [(-1, 1, -1), (-1, -1, -1)]
+        assert set(lhs_ds) <= set(rhs1_ds) | set(rhs2_ds)
         for sign in CorrelationSign:
-            sextets = enumerate_sextets(sign)
-            index = {s.d: i for i, s in enumerate(sextets)}
-            if sign is CorrelationSign.ANTICORRELATED:
-                lhs_ds = [(1, -1, -1), (-1, -1, -1)]
-                rhs1_ds = [(1, -1, 1), (1, -1, -1)]
-                rhs2_ds = [(-1, 1, -1), (-1, -1, -1)]
-            else:
-                lhs_ds = [(1, 1, -1), (-1, 1, -1)]
-                rhs1_ds = [(1, 1, 1), (1, 1, -1)]
-                rhs2_ds = [(-1, 1, -1), (-1, -1, -1)]
-            assert set(lhs_ds) <= set(rhs1_ds) | set(rhs2_ds)
+            index = {s.d: i for i, s in enumerate(enumerate_sextets(sign))}
+            g = -sign.factor
             for _ in range(200):
                 w = rng.dirichlet(np.ones(8))
-                probs = sextet_mixture_probabilities(w, sign)
-                assert_allclose(probs.lhs, sum(w[index[d]] for d in lhs_ds), atol=1e-15)
-                assert_allclose(probs.rhs_first, sum(w[index[d]] for d in rhs1_ds), atol=1e-15)
-                assert_allclose(probs.rhs_second, sum(w[index[d]] for d in rhs2_ds), atol=1e-15)
+                source = SextetMixtureSource(w, sign, self.THETAS)
+                lhs = source.joint(t3, t2).probability(-1, g)
+                rhs1 = source.joint(t1, t2).probability(1, g)
+                rhs2 = source.joint(t1, t3).probability(-1, g)
+                assert_allclose(lhs, sum(w[index[d]] for d in lhs_ds), atol=1e-15)
+                assert_allclose(rhs1, sum(w[index[d]] for d in rhs1_ds), atol=1e-15)
+                assert_allclose(rhs2, sum(w[index[d]] for d in rhs2_ds), atol=1e-15)
+                report = wigner_check(source, *self.THETAS, sign)
+                assert_allclose(report.lhs, lhs, atol=1e-15)
+                assert_allclose(report.bound, rhs1 + rhs2, atol=1e-15)
 
     def test_uniform_weights(self):
-        probs = sextet_mixture_probabilities(np.full(8, 1 / 8))
-        assert_allclose([probs.lhs, probs.rhs_first, probs.rhs_second], 0.25, atol=1e-15)
+        for sign in CorrelationSign:
+            source = SextetMixtureSource(np.full(8, 1 / 8), sign, self.THETAS)
+            report = wigner_check(source, *self.THETAS, sign)
+            assert_allclose(report.lhs, 0.25, atol=1e-15)
+            assert_allclose(report.bound, 0.5, atol=1e-15)
 
     def test_point_mass_membership(self):
         weights = np.zeros(8)
         weights[1] = 1.0  # d = (+1, +1, -1) in enumeration order
-        probs = sextet_mixture_probabilities(weights, CorrelationSign.ANTICORRELATED)
-        # d=(+,+,-): d1=+1 but g2=-1, so no pattern matches
-        assert probs.lhs == 0.0
-        assert probs.rhs_first == 0.0
-        assert probs.rhs_second == 0.0
+        for sign in CorrelationSign:
+            source = SextetMixtureSource(weights, sign, self.THETAS)
+            report = wigner_check(source, *self.THETAS, sign)
+            # d=(+,+,-): d1=+1 but d2=+1, so no pattern matches
+            assert report.lhs == 0.0
+            assert report.bound == 0.0
 
     def test_mixtures_never_violate(self):
         rng = np.random.default_rng(41)
         for sign in CorrelationSign:
             for w in rng.dirichlet(np.ones(8), size=2000):
-                assert sextet_mixture_probabilities(w, sign).margin() <= 1e-12
+                source = SextetMixtureSource(w, sign, self.THETAS)
+                assert wigner_check(source, *self.THETAS, sign).margin <= 1e-12
 
 
 class TestBellD1:
@@ -320,17 +329,11 @@ class TestChsh:
         assert_allclose(report.lhs, -2.0, atol=1e-12)
         assert not report.violated
 
-    def test_sign_echoed_in_inputs(self):
-        report = chsh_d3(
-            SINGLET_CF, 0.0, 1.0, 2.0, 3.0, sign=CorrelationSign.ANTICORRELATED
-        )
-        assert report.inputs["sign"] == "anticorrelated"
-
 
 class TestWigner:
     def test_quantum_values_at_45(self):
         t1, t2, t3 = 0.0, math.pi / 4, math.pi / 2
-        report = wigner_check(SINGLET_CF, t1, t2, t3)
+        report = wigner_check(SINGLET_CF, t1, t2, t3, ANTI)
         assert_allclose(report.lhs, 0.42677669529663687, atol=1e-12)
         assert_allclose(report.bound, 0.3232233047033632, atol=1e-12)
         assert_allclose(report.margin, 0.10355339059327379, atol=1e-12)
@@ -338,41 +341,25 @@ class TestWigner:
 
     def test_born_source_agrees(self):
         source = QuantumBornSource(make_state(StateKind.SPIN_ANTICORRELATED))
-        report = wigner_check(source, 0.0, math.pi / 4, math.pi / 2)
+        report = wigner_check(source, 0.0, math.pi / 4, math.pi / 2, ANTI)
         assert_allclose(report.margin, 0.10355339059327379, atol=1e-12)
 
     def test_violated_across_open_interval(self):
         for deg in range(5, 90, 5):
-            report = wigner_check(SINGLET_CF, 0.0, math.radians(deg), math.pi / 2)
+            report = wigner_check(SINGLET_CF, 0.0, math.radians(deg), math.pi / 2, ANTI)
             assert report.violated, f"no violation at {deg} degrees"
 
     def test_sextet_mixtures_sound(self):
-        # wigner_check carries anticorrelated semantics; correlated
-        # mixtures are checked through the sign-resolved probabilities
         rng = np.random.default_rng(73)
         thetas = (0.0, math.pi / 4, math.pi / 2)
-        for w in rng.dirichlet(np.ones(8), size=2000):
-            source = SextetMixtureSource(w, CorrelationSign.ANTICORRELATED, thetas)
-            report = wigner_check(source, *thetas)
-            assert report.margin <= 1e-12
-        for w in rng.dirichlet(np.ones(8), size=2000):
-            margin = sextet_mixture_probabilities(w, CorrelationSign.CORRELATED).margin()
-            assert margin <= 1e-12
-
-    def test_mixture_source_matches_probability_function(self):
-        rng = np.random.default_rng(79)
-        thetas = (0.1, 0.9, 2.0)
-        for _ in range(100):
-            w = rng.dirichlet(np.ones(8))
-            source = SextetMixtureSource(w, CorrelationSign.ANTICORRELATED, thetas)
-            probs = sextet_mixture_probabilities(w, CorrelationSign.ANTICORRELATED)
-            assert_allclose(source.joint(thetas[2], thetas[1]).p_mp, probs.lhs, atol=1e-15)
-            assert_allclose(source.joint(thetas[0], thetas[1]).p_pp, probs.rhs_first, atol=1e-15)
-            assert_allclose(source.joint(thetas[0], thetas[2]).p_mp, probs.rhs_second, atol=1e-15)
+        for sign in CorrelationSign:
+            for w in rng.dirichlet(np.ones(8), size=2000):
+                source = SextetMixtureSource(w, sign, thetas)
+                assert wigner_check(source, *thetas, sign).margin <= 1e-12
 
     def test_source_without_joint_probabilities(self):
         with pytest.raises(JointUnavailableError):
-            wigner_check(SawtoothSource(), 0.0, 0.5, 1.0)
+            wigner_check(SawtoothSource(), 0.0, 0.5, 1.0, ANTI)
 
     def test_mixture_source_rejects_unknown_angle(self):
         source = SextetMixtureSource(
