@@ -26,7 +26,6 @@ from .harness import (
 )
 from .inequalities import (
     VIOLATION_TOLERANCE,
-    CorrelationSign,
     CorrelationSource,
     EmpiricalSource,
     InequalityReport,
@@ -60,6 +59,7 @@ from .lhv import (
     sign_model,
 )
 from .qstate import (
+    CorrelationSign,
     EntangledState,
     JointDistribution,
     ParticleKind,

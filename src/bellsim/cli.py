@@ -53,9 +53,21 @@ class UsageError(Exception):
 
 
 def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return int(seed)
-    return int(os.environ.get("BELLSIM_SEED", "0"))
+    if seed is None:
+        text = os.environ.get("BELLSIM_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError(f"BELLSIM_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
+    return seed
+
+
+def _radians(flag: str, degrees: float) -> float:
+    if not math.isfinite(degrees):
+        raise UsageError(f"{flag} must be finite")
+    return math.radians(degrees)
 
 
 def _parse_angles_deg(text: str) -> tuple[float, float, float, float]:
@@ -85,9 +97,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _report_dict(analysis, seed, source: str, name: str = "chsh_d4") -> dict:
+def _report_dict(analysis, seed, source: str) -> dict:
     return {
-        "name": name,
+        "name": "chsh_d4",
         "s_mean": analysis.s_mean,
         "s_std_error": analysis.s_std_error,
         "per_pair": [
@@ -138,7 +150,10 @@ def read_trials_csv(path: str) -> harness.TrialLog:
     """Parse a trial CSV; malformed content raises UsageError citing the
     physical 1-based line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"input is not UTF-8 text: {exc}") from None
     if not lines:
         raise UsageError("line 1: missing angles header")
     match = _ANGLE_HEADER_RE.match(lines[0])
@@ -201,6 +216,24 @@ def read_trials_csv(path: str) -> harness.TrialLog:
     )
 
 
+def _analyze(log: harness.TrialLog, seed, out) -> int:
+    """Print the S analysis of a log and write its report JSON to ``out``.
+
+    A settings pair without trials (too few --trials, or a trial CSV that
+    lacks the pair) is a usage error.
+    """
+    counts = harness.tabulate(log)
+    for label, n in zip(PAIR_LABELS, counts.counts.sum(axis=1)):
+        if n == 0:
+            raise UsageError(f"no trials recorded for settings pair {label!r}")
+    analysis = harness.analyze_chsh(counts)
+    if out:
+        report = _report_dict(analysis, seed, log.source_description)
+        _write_text(out, json.dumps(report, indent=2) + "\n")
+    _print_analysis(analysis, log.source_description)
+    return 0
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -218,12 +251,7 @@ def cmd_chsh_sim(args) -> int:
     log = harness.run_trials(source, schedule, args.trials, seed)
     if args.emit_trials:
         write_trials_csv(args.emit_trials, log, angles_deg)
-    analysis = harness.analyze_chsh(harness.tabulate(log))
-    report = _report_dict(analysis, seed, log.source_description)
-    if args.out:
-        _write_text(args.out, json.dumps(report, indent=2) + "\n")
-    _print_analysis(analysis, log.source_description)
-    return 0
+    return _analyze(log, seed, args.out)
 
 
 def cmd_lhv_sim(args) -> int:
@@ -233,8 +261,8 @@ def cmd_lhv_sim(args) -> int:
         raise UsageError("nodes must be >= 1000")
     model = _lhv_model(args.model)
     seed = _resolve_seed(args.seed)
-    delta = math.radians(args.delta)
-    gamma = math.radians(args.gamma)
+    delta = _radians("--delta", args.delta)
+    gamma = _radians("--gamma", args.gamma)
     estimate = lhv.estimate_correlation(model, delta, gamma, args.trials, seed)
     result = {
         "model": model.name,
@@ -263,24 +291,13 @@ def cmd_wigner_scan(args) -> int:
     if args.steps < 3:
         raise UsageError("steps must be >= 3")
     kind = qstate.StateKind(args.state)
-    source = inequalities.QuantumBornSource(qstate.make_state(kind))
-    sign = (
-        inequalities.CorrelationSign.ANTICORRELATED
-        if kind.anticorrelated
-        else inequalities.CorrelationSign.CORRELATED
-    )
     theta3 = args.theta3
     if theta3 is None:
-        # photon correlations have half the spin period, so a photon scan
-        # to 90 degrees would read a margin of 0 on every row
-        theta3 = 90.0 if kind.particle is qstate.ParticleKind.SPIN_HALF else 45.0
-    points = harness.wigner_scan(
-        math.radians(args.theta1),
-        math.radians(theta3),
-        args.steps,
-        source=source,
-        sign=sign,
-    )
+        # 90 degrees for spin, 45 for photons, whose correlations have half
+        # the spin period: a photon scan to 90 would read 0 on every row
+        theta3 = 45.0 / kind.particle.angle_scale
+    theta1 = _radians("--theta1", args.theta1)
+    points = harness.wigner_scan(theta1, _radians("--theta3", theta3), args.steps, kind)
     lines = ["theta2_deg,lhs,rhs,margin"]
     lines.extend(
         f"{math.degrees(p.theta2)!r},{p.lhs!r},{p.rhs!r},{p.margin!r}"
@@ -296,78 +313,44 @@ def cmd_wigner_scan(args) -> int:
     return 0
 
 
-def _quartet_rows():
-    quartets = inequalities.enumerate_quartets()
-    rows = {
-        "d_delta": [q.d_delta for q in quartets],
-        "g_gamma": [q.g_gamma for q in quartets],
-        "d_delta_prime": [q.d_delta_prime for q in quartets],
-        "g_gamma_prime": [q.g_gamma_prime for q in quartets],
-        "S": [q.s_value for q in quartets],
-    }
-    return quartets, rows
+def _signed(values) -> str:
+    return ",".join(f"{v:+d}" for v in values)
 
 
 def cmd_enumerate(args) -> int:
-    sign = inequalities.CorrelationSign(args.sign)
+    # one (column names, rows, JSON payload) triple per kind, shared by
+    # the three formats
     if args.sextets:
-        sextets = inequalities.enumerate_sextets(sign)
-        if args.format == "json":
-            payload = [
-                {"d": list(s.d), "g": list(s.g), "sign": s.sign.value}
-                for s in sextets
-            ]
-            print(json.dumps(payload, indent=2))
-        elif args.format == "csv":
-            print("d_theta1,d_theta2,d_theta3,g_theta1,g_theta2,g_theta3")
-            for s in sextets:
-                print(",".join(f"{v:+d}" for v in (*s.d, *s.g)))
-        else:
-            for name, values in (
-                ("d_theta1", [s.d[0] for s in sextets]),
-                ("d_theta2", [s.d[1] for s in sextets]),
-                ("d_theta3", [s.d[2] for s in sextets]),
-                ("g_theta1", [s.g[0] for s in sextets]),
-                ("g_theta2", [s.g[1] for s in sextets]),
-                ("g_theta3", [s.g[2] for s in sextets]),
-            ):
-                print(f"{name}: " + ",".join(f"{v:+d}" for v in values))
-        return 0
-
-    quartets, rows = _quartet_rows()
-    if args.format == "json":
+        sextets = inequalities.enumerate_sextets(qstate.CorrelationSign(args.sign))
+        names = [f"{wing}_theta{j}" for wing in "dg" for j in (1, 2, 3)]
+        rows = [(*s.d, *s.g) for s in sextets]
         payload = [
-            {
-                "d_delta": q.d_delta,
-                "g_gamma": q.g_gamma,
-                "d_delta_prime": q.d_delta_prime,
-                "g_gamma_prime": q.g_gamma_prime,
-                "S": q.s_value,
-            }
-            for q in quartets
+            {"d": list(s.d), "g": list(s.g), "sign": s.sign.value} for s in sextets
         ]
+    else:
+        names = ["d_delta", "g_gamma", "d_delta_prime", "g_gamma_prime", "S"]
+        rows = [
+            (q.d_delta, q.g_gamma, q.d_delta_prime, q.g_gamma_prime, q.s_value)
+            for q in inequalities.enumerate_quartets()
+        ]
+        payload = [dict(zip(names, row)) for row in rows]
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        print("quartet,d_delta,g_gamma,d_delta_prime,g_gamma_prime,S")
-        for i, q in enumerate(quartets, start=1):
-            print(
-                f"{i},{q.d_delta:+d},{q.g_gamma:+d},"
-                f"{q.d_delta_prime:+d},{q.g_gamma_prime:+d},{q.s_value:+d}"
-            )
+        header, lines = names, [_signed(row) for row in rows]
+        if not args.sextets:  # quartets are numbered from 1
+            header = ["quartet", *names]
+            lines = [f"{i},{line}" for i, line in enumerate(lines, start=1)]
+        print(",".join(header))
+        print("\n".join(lines))
     else:
-        for name, values in rows.items():
-            print(f"{name}: " + ",".join(f"{v:+d}" for v in values))
+        for name, column in zip(names, zip(*rows)):
+            print(f"{name}: {_signed(column)}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    log = read_trials_csv(args.input)
-    analysis = harness.analyze_chsh(harness.tabulate(log))
-    report = _report_dict(analysis, None, log.source_description)
-    if args.out:
-        _write_text(args.out, json.dumps(report, indent=2) + "\n")
-    _print_analysis(analysis, log.source_description)
-    return 0
+    return _analyze(read_trials_csv(args.input), None, args.out)
 
 
 def cmd_maximize(args) -> int:
@@ -405,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     state_names = sorted(kind.value for kind in qstate.StateKind)
+    sign_names = [sign.value for sign in qstate.CorrelationSign]
 
     p = sub.add_parser("chsh-sim", help="simulate a four-setting run")
     group = p.add_mutually_exclusive_group(required=True)
@@ -449,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="outcome quartets or sextets")
     p.add_argument("--sextets", action="store_true")
-    p.add_argument(
-        "--sign", choices=["anticorrelated", "correlated"], default="anticorrelated"
-    )
+    p.add_argument("--sign", choices=sign_names, default="anticorrelated")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(func=cmd_enumerate)
 
@@ -479,9 +461,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .inequalities import (
-    CorrelationSign,
-    CorrelationSource,
     EmpiricalSource,
+    QuantumBornSource,
     QuantumClosedFormSource,
     chsh_s,
     wigner_check,
@@ -32,10 +31,10 @@ from .inequalities import (
 from .lhv import LhvModel
 from .qstate import (
     EntangledState,
-    ParticleKind,
     StateKind,
     closed_form_correlation,
     joint_distribution,
+    make_state,
 )
 
 __all__ = [
@@ -117,15 +116,6 @@ class TrialLog:
 
     def __len__(self):
         return len(self.pair_index)
-
-    def records(self):
-        """Iterate (pair_index, outcome_d, outcome_g) tuples."""
-        for i in range(len(self)):
-            yield (
-                int(self.pair_index[i]),
-                int(self.outcome_d[i]),
-                int(self.outcome_g[i]),
-            )
 
 
 def _block_slices(n: int):
@@ -254,42 +244,31 @@ class ChshAnalysis:
     violated_5sigma: bool
 
 
-def analyze_chsh(
-    counts: CountsTable, pair_roles: dict[str, int] | None = None
-) -> ChshAnalysis:
+def analyze_chsh(counts: CountsTable) -> ChshAnalysis:
     """Correlations and S = E(dg) + E(dg') + E(d'g) - E(d'g') with errors.
 
-    ``pair_roles`` maps each role label in PAIR_LABELS to its row in
-    the counts table (identity by default).  Per-pair variance is the
-    binomial (1 - E^2)/n; the variance of S is their sum.  A role whose
-    row has zero trials is an error: an S assembled from missing pairs
-    would be meaningless.
+    Row i of the counts table holds role PAIR_LABELS[i].  Per-pair
+    variance is the binomial (1 - E^2)/n; the variance of S is their
+    sum.  A role whose row has zero trials is an error: an S assembled
+    from missing pairs would be meaningless.
     """
-    if pair_roles is None:
-        pair_roles = {label: i for i, label in enumerate(PAIR_LABELS)}
-    estimates = {}
+    per_pair = []
     variance = 0.0
-    for label in PAIR_LABELS:
-        row = counts.counts[pair_roles[label]]
+    for i, label in enumerate(PAIR_LABELS):
+        row = counts.counts[i]
         total = int(row.sum())
         if total == 0:
             raise ValueError(f"no trials recorded for settings pair {label!r}")
         e = float((row[0] + row[3] - row[1] - row[2]) / total)
         var = (1.0 - e * e) / total
         variance += var
-        estimates[label] = PairEstimate(
-            label=label, e=e, std_error=math.sqrt(var), n=total
-        )
-    s_mean = (
-        estimates["dg"].e
-        + estimates["dg'"].e
-        + estimates["d'g"].e
-        - estimates["d'g'"].e
-    )
+        per_pair.append(PairEstimate(label, e, math.sqrt(var), total))
+    e_dg, e_dgp, e_dpg, e_dpgp = (p.e for p in per_pair)
+    s_mean = e_dg + e_dgp + e_dpg - e_dpgp
     s_std_error = math.sqrt(variance)
     excess = abs(s_mean) - 2.0
     return ChshAnalysis(
-        per_pair=tuple(estimates[label] for label in PAIR_LABELS),
+        per_pair=tuple(per_pair),
         s_mean=s_mean,
         s_std_error=s_std_error,
         violated_2sigma=excess > 2.0 * s_std_error,
@@ -337,9 +316,7 @@ def maximize_chsh(
     # normalize to positive S: shifting both gamma angles by the half
     # period of the correlation law flips the sign of every term
     if chsh_s(source, *angles) < 0.0:
-        half_period = (
-            math.pi if kind.particle is ParticleKind.SPIN_HALF else math.pi / 2
-        )
+        half_period = math.pi / (2.0 * kind.particle.angle_scale)
         angles[2] += half_period
         angles[3] += half_period
     angles = np.mod(angles, 2.0 * math.pi)
@@ -359,26 +336,24 @@ def wigner_scan(
     theta1: float,
     theta3: float,
     steps: int,
-    source: CorrelationSource | None = None,
-    sign: CorrelationSign = CorrelationSign.ANTICORRELATED,
+    kind: StateKind = StateKind.SPIN_ANTICORRELATED,
 ) -> list[WignerScanPoint]:
     """Evaluate the three-angle inequality on a theta2 grid.
 
     The grid spans [theta1, theta3] inclusive with ``steps`` points.
-    ``sign`` selects the inequality's sign form and must match the
-    source.  The default source is the spin singlet closed form, for
-    which the margin is (sin t2 + cos t2 - 1)/4 when theta1 = 0 and
-    theta3 = pi/2: positive strictly inside the interval, maximal at
-    pi/4.  Every maximally entangled state gives the same curve in its
-    own sign form, with the angles halved for photon pairs.
+    Joints come from the Born rule for ``kind``, read in the state's own
+    sign form.  For the default spin singlet the margin is
+    (sin t2 + cos t2 - 1)/4 when theta1 = 0 and theta3 = pi/2: positive
+    strictly inside the interval, maximal at pi/4.  Every maximally
+    entangled state gives the same curve, with the angles halved for
+    photon pairs.
     """
     if steps < 3:
         raise ValueError("steps must be >= 3")
-    if source is None:
-        source = QuantumClosedFormSource(StateKind.SPIN_ANTICORRELATED)
+    source = QuantumBornSource(make_state(kind))
     points = []
     for theta2 in np.linspace(theta1, theta3, steps):
-        report = wigner_check(source, theta1, float(theta2), theta3, sign)
+        report = wigner_check(source, theta1, float(theta2), theta3, kind.sign)
         points.append(
             WignerScanPoint(
                 theta2=float(theta2),

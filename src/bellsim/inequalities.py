@@ -30,7 +30,6 @@ angles consistent with strict (anti)correlation.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,6 +38,7 @@ import numpy as np
 
 from .lhv import LhvModel, _midpoints, quadrature_correlation
 from .qstate import (
+    CorrelationSign,
     EntangledState,
     JointDistribution,
     StateKind,
@@ -48,7 +48,6 @@ from .qstate import (
 
 __all__ = [
     "VIOLATION_TOLERANCE",
-    "CorrelationSign",
     "InequalityReport",
     "CorrelationSource",
     "JointUnavailableError",
@@ -74,19 +73,6 @@ __all__ = [
 VIOLATION_TOLERANCE = 1e-9
 
 WEIGHT_ATOL = 1e-9
-
-
-class CorrelationSign(enum.Enum):
-    """Selects the sign variant of the inequalities that depend on whether
-    equal-angle outcomes are strictly opposite or strictly equal."""
-
-    ANTICORRELATED = "anticorrelated"
-    CORRELATED = "correlated"
-
-    @property
-    def factor(self) -> int:
-        """-1 or +1 such that g = factor * d at a shared analyzer angle."""
-        return -1 if self is CorrelationSign.ANTICORRELATED else 1
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ product of the two outcomes.
 Conventions:
 
 * Spin-1/2 analyzers rotate the measurement basis by half the analyzer
-  angle, polarizers by the full angle.  These are the unique planar
-  conventions under which both particle kinds show strict
-  (anti)correlation at equal analyzer angles together with the cosine
-  laws above.
+  angle, polarizers by the full angle (:attr:`ParticleKind.angle_scale`).
+  These are the unique planar conventions under which both particle
+  kinds show strict (anti)correlation at equal analyzer angles together
+  with the cosine laws above.  A :class:`StateKind` is its particle and
+  its :class:`CorrelationSign`; nothing else tells the four apart.
 * The anticorrelated states carry a relative phase of -1 between their
   two product terms, the unique choice (up to a global phase) for which
   the correlation depends only on gamma - delta.
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CorrelationSign",
     "ParticleKind",
     "StateKind",
     "EntangledState",
@@ -53,16 +55,31 @@ NORMALIZATION_ATOL = 1e-12
 _SQRT_HALF = math.sqrt(0.5)
 
 
-class ParticleKind(enum.Enum):
-    """Physical carrier of the two-level system.
+class CorrelationSign(enum.Enum):
+    """Selects the sign variant of the inequalities that depend on whether
+    equal-angle outcomes are strictly opposite or strictly equal."""
 
-    The carrier fixes the analyzer convention: spin measurement bases
-    rotate by half the analyzer angle, polarization bases by the full
-    angle.
-    """
+    ANTICORRELATED = "anticorrelated"
+    CORRELATED = "correlated"
+
+    @property
+    def factor(self) -> int:
+        """-1 or +1 such that g = factor * d at a shared analyzer angle."""
+        return -1 if self is CorrelationSign.ANTICORRELATED else 1
+
+
+class ParticleKind(enum.Enum):
+    """Physical carrier of the two-level system; it fixes the analyzer
+    convention through :attr:`angle_scale`."""
 
     SPIN_HALF = "spin-half"
     PHOTON = "photon"
+
+    @property
+    def angle_scale(self) -> float:
+        """Basis rotation per unit analyzer angle: 0.5 for spin, 1.0 for
+        photons.  E has period pi / angle_scale in gamma - delta."""
+        return 0.5 if self is ParticleKind.SPIN_HALF else 1.0
 
 
 class StateKind(enum.Enum):
@@ -78,12 +95,12 @@ class StateKind(enum.Enum):
         return ParticleKind.PHOTON
 
     @property
-    def anticorrelated(self) -> bool:
-        """True when equal analyzer angles give strictly opposite outcomes."""
-        return self in (
-            StateKind.SPIN_ANTICORRELATED,
-            StateKind.PHOTON_ANTICORRELATED,
-        )
+    def sign(self) -> CorrelationSign:
+        """Whether equal analyzer angles give strictly opposite or strictly
+        equal outcomes."""
+        if self in (StateKind.SPIN_ANTICORRELATED, StateKind.PHOTON_ANTICORRELATED):
+            return CorrelationSign.ANTICORRELATED
+        return CorrelationSign.CORRELATED
 
 
 @dataclass(frozen=True)
@@ -97,8 +114,11 @@ class EntangledState:
     """
 
     kind: StateKind
-    particle: ParticleKind
     amplitudes: np.ndarray
+
+    @property
+    def particle(self) -> ParticleKind:
+        return self.kind.particle
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex)
@@ -112,19 +132,15 @@ class EntangledState:
 
 
 _AMPLITUDES = {
-    StateKind.SPIN_ANTICORRELATED: (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0),
-    StateKind.SPIN_CORRELATED: (_SQRT_HALF, 0.0, 0.0, _SQRT_HALF),
-    StateKind.PHOTON_CORRELATED: (_SQRT_HALF, 0.0, 0.0, _SQRT_HALF),
-    StateKind.PHOTON_ANTICORRELATED: (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0),
+    CorrelationSign.ANTICORRELATED: (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0),
+    CorrelationSign.CORRELATED: (_SQRT_HALF, 0.0, 0.0, _SQRT_HALF),
 }
 
 
 def make_state(kind: StateKind) -> EntangledState:
     """Build one of the four canonical entangled states."""
     return EntangledState(
-        kind=kind,
-        particle=kind.particle,
-        amplitudes=np.array(_AMPLITUDES[kind], dtype=complex),
+        kind=kind, amplitudes=np.array(_AMPLITUDES[kind.sign], dtype=complex)
     )
 
 
@@ -140,7 +156,7 @@ def analyzer_basis(
     """
     if not math.isfinite(angle):
         raise ValueError("analyzer angle must be finite")
-    theta = 0.5 * angle if particle is ParticleKind.SPIN_HALF else angle
+    theta = particle.angle_scale * angle
     c, s = math.cos(theta), math.sin(theta)
     return np.array([c, s]), np.array([-s, c])
 
@@ -216,7 +232,6 @@ def closed_form_correlation(kind: StateKind, delta, gamma):
     ``delta`` and ``gamma`` broadcast against each other; scalar angles
     give a Python float.
     """
-    mult = 1.0 if kind.particle is ParticleKind.SPIN_HALF else 2.0
-    base = np.cos(mult * (np.asarray(gamma) - np.asarray(delta)))
-    e = -base if kind.anticorrelated else base
+    mult = 2.0 * kind.particle.angle_scale
+    e = kind.sign.factor * np.cos(mult * (np.asarray(gamma) - np.asarray(delta)))
     return float(e) if e.ndim == 0 else e

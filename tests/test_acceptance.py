@@ -15,7 +15,6 @@ from bellsim.cli import main
 from bellsim.inequalities import (
     CorrelationSign,
     LhvSource,
-    QuantumBornSource,
     QuantumClosedFormSource,
     SextetMixtureSource,
     bell_d1,
@@ -98,14 +97,8 @@ def test_criterion_5_wigner_violation_curve():
     # for photon pairs, whose correlation law has half the period
     peaks = []
     for kind in StateKind:
-        sign = (
-            CorrelationSign.ANTICORRELATED
-            if kind.anticorrelated
-            else CorrelationSign.CORRELATED
-        )
         theta3 = math.pi / 2 if kind.particle is ParticleKind.SPIN_HALF else math.pi / 4
-        source = QuantumBornSource(make_state(kind))
-        points = harness.wigner_scan(0.0, theta3, 19, source=source, sign=sign)
+        points = harness.wigner_scan(0.0, theta3, 19, kind)
         interior = points[1:-1]
         assert all(p.margin > 0.0 for p in interior), kind
         best = max(points, key=lambda p: p.margin)
@@ -158,7 +151,7 @@ def test_criterion_8_strict_anticorrelation():
         log = harness.run_trials(state, schedule, 10_000, seed=81)
         same = int(np.sum(log.outcome_d == log.outcome_g))
         opposite = int(np.sum(log.outcome_d == -log.outcome_g))
-        if kind.anticorrelated:
+        if kind.sign is CorrelationSign.ANTICORRELATED:
             assert same == 0
         else:
             assert opposite == 0

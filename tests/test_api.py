@@ -27,3 +27,12 @@ def test_package_reexports_module_api(name):
         if getattr(bellsim, attr, None) is not getattr(module, attr)
     ]
     assert differ == []
+
+
+def test_correlation_sign_has_one_definition():
+    # defined in qstate beside StateKind.sign; inequalities and the package
+    # root hand out the same class
+    from bellsim import inequalities, qstate
+
+    assert inequalities.CorrelationSign is qstate.CorrelationSign
+    assert bellsim.CorrelationSign is qstate.CorrelationSign

@@ -372,6 +372,70 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lhv-sim", "--model", "sign_model", "--delta", "nan"],
+        ["lhv-sim", "--model", "sign_model", "--gamma", "inf"],
+        ["wigner-scan", "--theta1", "nan"],
+        ["wigner-scan", "--theta3", "inf"],
+    ],
+)
+def test_nonfinite_angle_is_usage_error(capsys, argv):
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert f"error: {argv[-2]} must be finite" in stderr
+
+
+@pytest.mark.parametrize(
+    "seed_args,env,message",
+    [
+        (["--seed", "-1"], None, "seed must be >= 0"),
+        ([], "abc", "BELLSIM_SEED must be an integer"),
+    ],
+)
+def test_bad_seed_is_usage_error(capsys, monkeypatch, seed_args, env, message):
+    if env is not None:
+        monkeypatch.setenv("BELLSIM_SEED", env)
+    code, _, stderr = run(
+        capsys, "chsh-sim", "--state", "spin-correlated", "--trials", "10", *seed_args
+    )
+    assert code == 2
+    assert message in stderr
+
+
+def test_too_few_trials_names_empty_pair(capsys):
+    code, _, stderr = run(
+        capsys, "chsh-sim", "--state", "spin-correlated", "--trials", "2",
+        "--schedule", "round-robin",
+    )
+    assert code == 2
+    assert "d'g" in stderr
+
+
+def test_non_utf8_csv_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xff\xfe# angles_deg\n")
+    code, _, stderr = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "not UTF-8" in stderr
+
+
+def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
+    # exit code 2 is reserved for validated user errors; a bug inside the
+    # library must surface as itself
+    from bellsim import harness
+
+    def broken(log):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(harness, "tabulate", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["chsh-sim", "--state", "spin-correlated", "--trials", "10"])
+    capsys.readouterr()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

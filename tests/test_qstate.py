@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bellsim.qstate import (
+    CorrelationSign,
     EntangledState,
     JointDistribution,
     ParticleKind,
@@ -60,11 +61,29 @@ class TestMakeState:
         assert make_state(StateKind.SPIN_CORRELATED).particle is ParticleKind.SPIN_HALF
         assert make_state(StateKind.PHOTON_CORRELATED).particle is ParticleKind.PHOTON
 
+    @pytest.mark.parametrize(
+        "kind,particle,sign,angle_scale",
+        [
+            (StateKind.SPIN_ANTICORRELATED, ParticleKind.SPIN_HALF,
+             CorrelationSign.ANTICORRELATED, 0.5),
+            (StateKind.SPIN_CORRELATED, ParticleKind.SPIN_HALF,
+             CorrelationSign.CORRELATED, 0.5),
+            (StateKind.PHOTON_CORRELATED, ParticleKind.PHOTON,
+             CorrelationSign.CORRELATED, 1.0),
+            (StateKind.PHOTON_ANTICORRELATED, ParticleKind.PHOTON,
+             CorrelationSign.ANTICORRELATED, 1.0),
+        ],
+    )
+    def test_state_table(self, kind, particle, sign, angle_scale):
+        assert kind.particle is particle
+        assert kind.sign is sign
+        assert particle.angle_scale == angle_scale
+        assert make_state(kind).particle is particle
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             EntangledState(
                 kind=StateKind.SPIN_CORRELATED,
-                particle=ParticleKind.SPIN_HALF,
                 amplitudes=np.array([1.0, 0, 0, 1.0]),
             )
 
@@ -145,7 +164,7 @@ class TestJointDistribution:
         state = make_state(kind)
         for theta in np.linspace(-3.0, 3.0, 25):
             dist = joint_distribution(state, theta, theta)
-            if kind.anticorrelated:
+            if kind.sign is CorrelationSign.ANTICORRELATED:
                 assert dist.p_pp == 0.0 and dist.p_mm == 0.0
             else:
                 assert dist.p_pm == 0.0 and dist.p_mp == 0.0
@@ -233,8 +252,7 @@ class TestClosedForm:
         amp = np.einsum("axi,ij,byj->abxy", bases, m, bases)
         probs = np.abs(amp) ** 2
         born = probs[..., 0, 0] + probs[..., 1, 1] - probs[..., 0, 1] - probs[..., 1, 0]
-        sign = -1.0 if kind.anticorrelated else 1.0
-        formula = sign * np.cos(mult * (angles[None, :] - angles[:, None]))
+        formula = kind.sign.factor * np.cos(mult * (angles[None, :] - angles[:, None]))
         assert np.max(np.abs(born - formula)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -268,7 +286,7 @@ def test_pi_offset_behaviour(kind):
     for delta in np.linspace(-2.0, 2.0, 9):
         e = correlation(state, delta, delta + math.pi)
         if state.particle is ParticleKind.SPIN_HALF:
-            expected = 1.0 if kind.anticorrelated else -1.0
+            expected = -kind.sign.factor
         else:
-            expected = -1.0 if kind.anticorrelated else 1.0
+            expected = kind.sign.factor
         assert_allclose(e, expected, atol=1e-12)
