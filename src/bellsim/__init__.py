@@ -44,6 +44,7 @@ from .inequalities import (
     enumerate_sextets,
     quartet_mixture_s,
     wigner_check,
+    wigner_terms,
 )
 from .lhv import (
     CorrelationEstimate,
@@ -55,7 +56,6 @@ from .lhv import (
     get_model,
     quadrature_correlation,
     quantum_mimic_attempt,
-    sample_pair,
     sign_model,
 )
 from .qstate import (
@@ -66,8 +66,8 @@ from .qstate import (
     StateKind,
     analyzer_basis,
     closed_form_correlation,
-    correlation,
     joint_distribution,
+    joint_table,
     make_state,
 )
 

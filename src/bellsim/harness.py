@@ -26,14 +26,14 @@ from .inequalities import (
     QuantumBornSource,
     QuantumClosedFormSource,
     chsh_s,
-    wigner_check,
+    wigner_terms,
 )
 from .lhv import LhvModel
 from .qstate import (
     EntangledState,
     StateKind,
     closed_form_correlation,
-    joint_distribution,
+    joint_table,
     make_state,
 )
 
@@ -124,12 +124,8 @@ def _block_slices(n: int):
 
 
 def _quantum_cumulative(state: EntangledState, pairs) -> np.ndarray:
-    return np.array(
-        [
-            np.cumsum(joint_distribution(state, d, g).as_array()[:3])
-            for d, g in pairs
-        ]
-    )
+    delta, gamma = np.array(pairs, dtype=np.float64).T
+    return np.cumsum(joint_table(state, delta, gamma)[:, :3], axis=1)
 
 
 def _generate_block(source, schedule, cum, child, start, stop):
@@ -152,13 +148,20 @@ def _generate_block(source, schedule, cum, child, start, stop):
         d, g = _kernels.sample_outcomes(u, idx, cum)
     else:
         lam = np.asarray(source.sample(rng, m), dtype=np.float64)
+        # a stable sort groups each pair's trials in trial order, so every
+        # response sees the same lam values, in the same order, as a mask
+        # would select
+        order = np.argsort(idx, kind="stable")
+        lam = lam[order]
         d = np.empty(m, dtype=np.int8)
         g = np.empty(m, dtype=np.int8)
-        for p in range(k):
-            mask = idx == p
-            if mask.any():
-                d[mask] = source.response_d(lam[mask], pairs[p][0])
-                g[mask] = source.response_g(lam[mask], pairs[p][1])
+        begin = 0
+        for (delta, gamma), end in zip(pairs, np.cumsum(np.bincount(idx, minlength=k))):
+            if end > begin:
+                trials = order[begin:end]
+                d[trials] = source.response_d(lam[begin:end], delta)
+                g[trials] = source.response_g(lam[begin:end], gamma)
+            begin = end
     return idx, d, g
 
 
@@ -346,20 +349,17 @@ def wigner_scan(
     (sin t2 + cos t2 - 1)/4 when theta1 = 0 and theta3 = pi/2: positive
     strictly inside the interval, maximal at pi/4.  Every maximally
     entangled state gives the same curve, with the angles halved for
-    photon pairs.
+    photon pairs.  All points come from one broadcast
+    :func:`~bellsim.inequalities.wigner_terms` call over the theta2 grid,
+    each equal bit for bit to :func:`~bellsim.inequalities.wigner_check`
+    at that point.
     """
     if steps < 3:
         raise ValueError("steps must be >= 3")
     source = QuantumBornSource(make_state(kind))
-    points = []
-    for theta2 in np.linspace(theta1, theta3, steps):
-        report = wigner_check(source, theta1, float(theta2), theta3, kind.sign)
-        points.append(
-            WignerScanPoint(
-                theta2=float(theta2),
-                lhs=report.lhs,
-                rhs=report.bound,
-                margin=report.margin,
-            )
-        )
-    return points
+    theta2 = np.linspace(theta1, theta3, steps)
+    lhs, rhs = wigner_terms(source, theta1, theta2, theta3, kind.sign)
+    return [
+        WignerScanPoint(theta2=t, lhs=l, rhs=r, margin=l - r)
+        for t, l, r in zip(theta2.tolist(), lhs.tolist(), rhs.tolist())
+    ]

@@ -44,6 +44,7 @@ from .qstate import (
     StateKind,
     closed_form_correlation,
     joint_distribution,
+    joint_table,
 )
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "chsh_s",
     "chsh_d4",
     "chsh_d3",
+    "wigner_terms",
     "wigner_check",
     "Quartet",
     "enumerate_quartets",
@@ -119,6 +121,14 @@ class CorrelationSource:
             f"{self.describe()} provides no joint outcome probabilities"
         )
 
+    def joints(self, delta, gamma) -> np.ndarray:
+        """Joints as an array whose last axis holds (p_pp, p_pm, p_mp, p_mm).
+
+        The default reads one :meth:`joint` at scalar angles; a source
+        that can broadcast over angle arrays overrides it.
+        """
+        return self.joint(delta, gamma).as_array()
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -152,6 +162,9 @@ class QuantumBornSource(CorrelationSource):
 
     def joint(self, delta: float, gamma: float) -> JointDistribution:
         return joint_distribution(self.state, delta, gamma)
+
+    def joints(self, delta, gamma) -> np.ndarray:
+        return joint_table(self.state, delta, gamma)
 
     def describe(self) -> str:
         return f"born:{self.state.kind.value}"
@@ -187,10 +200,11 @@ class EmpiricalSource(CorrelationSource):
     """Correlations estimated from coincidence counts.
 
     ``pairs`` lists the measured (delta, gamma) settings pairs and
-    ``counts`` the matching (n_pp, n_pm, n_mp, n_mm) rows.  Lookups
-    require the exact settings pair; there is no interpolation between
-    nearby angles, so an inequality can only be evaluated on data that
-    actually contains every pair it references.
+    ``counts`` the matching (n_pp, n_pm, n_mp, n_mm) rows; rows that
+    list the same pair add up.  Lookups require the exact settings
+    pair; there is no interpolation between nearby angles, so an
+    inequality can only be evaluated on data that actually contains
+    every pair it references.
     """
 
     def __init__(self, pairs: Sequence[tuple[float, float]], counts: np.ndarray):
@@ -201,16 +215,17 @@ class EmpiricalSource(CorrelationSource):
             raise ValueError("counts must be nonnegative")
         self.pairs = [(float(d), float(g)) for d, g in pairs]
         self.counts = counts
-        self._index = {pair: i for i, pair in enumerate(self.pairs)}
+        self._rows = {}
+        for pair, row in zip(self.pairs, counts):
+            self._rows[pair] = self._rows.get(pair, 0) + row
 
     def _row(self, delta: float, gamma: float) -> np.ndarray:
         try:
-            i = self._index[(float(delta), float(gamma))]
+            row = self._rows[(float(delta), float(gamma))]
         except KeyError:
             raise KeyError(
                 f"no counts recorded for settings pair ({delta!r}, {gamma!r})"
             ) from None
-        row = self.counts[i]
         if row.sum() == 0:
             raise ValueError(
                 f"settings pair ({delta!r}, {gamma!r}) has zero trials"
@@ -339,6 +354,30 @@ def chsh_d3(
     )
 
 
+def wigner_terms(
+    source: CorrelationSource,
+    theta1,
+    theta2,
+    theta3,
+    sign: CorrelationSign,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides (lhs, rhs) of the :func:`wigner_check` inequality.
+
+    The angles broadcast against each other as far as
+    ``source.joints`` does: a scan passes a theta2 array and gets one
+    (lhs, rhs) pair per point, bit for bit the scalar values.
+    """
+    # columns of a joints row: (+,+), (+,-), (-,+), (-,-); G -> g sits at
+    # offset g_col within the d = +1 (columns 0, 1) and d = -1 (2, 3) halves
+    g_col = 0 if sign.factor == -1 else 1
+    lhs = source.joints(theta3, theta2)[..., 2 + g_col]
+    rhs = (
+        source.joints(theta1, theta2)[..., g_col]
+        + source.joints(theta1, theta3)[..., 2 + g_col]
+    )
+    return lhs, rhs
+
+
 def wigner_check(
     source: CorrelationSource,
     theta1: float,
@@ -365,18 +404,14 @@ def wigner_check(
     photon states read the same with the angles doubled.  The
     inequality fails on a wide range of angles.
 
-    The source must provide joint probabilities.
+    The source must provide joint probabilities; :func:`wigner_terms`
+    evaluates the same pattern over arrays of angles.
     """
-    g = -sign.factor
-    lhs = source.joint(theta3, theta2).probability(-1, g)
-    rhs = (
-        source.joint(theta1, theta2).probability(1, g)
-        + source.joint(theta1, theta3).probability(-1, g)
-    )
+    lhs, rhs = wigner_terms(source, theta1, theta2, theta3, sign)
     return _report(
         "wigner",
-        lhs,
-        rhs,
+        float(lhs),
+        float(rhs),
         {
             "theta1": theta1,
             "theta2": theta2,

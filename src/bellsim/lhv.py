@@ -36,7 +36,6 @@ __all__ = [
     "LhvModel",
     "CorrelationEstimate",
     "UnboundedSupportError",
-    "sample_pair",
     "quadrature_correlation",
     "estimate_correlation",
     "sign_model",
@@ -111,21 +110,6 @@ def _midpoints(support: tuple[float, float], nodes: int) -> tuple[np.ndarray, fl
     lo, hi = support
     h = (hi - lo) / nodes
     return lo + (np.arange(nodes) + 0.5) * h, h
-
-
-def sample_pair(
-    model: LhvModel, delta: float, gamma: float, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Draw one lam and evaluate both responses on it.
-
-    The same hidden variable feeds both wings; each response sees only
-    its own analyzer angle.
-    """
-    lam = model.sample(rng, 1)
-    return (
-        int(model.response_d(lam, delta)[0]),
-        int(model.response_g(lam, gamma)[0]),
-    )
 
 
 def quadrature_correlation(
@@ -221,18 +205,58 @@ def quantum_mimic_attempt() -> LhvModel:
 
     Sampling inverts the CDF through a 16K-point monotone table; the
     interpolation error is orders of magnitude below Monte Carlo
-    resolution at any practical sample count.
+    resolution at any practical sample count.  A bucketed index
+    (:class:`_BucketedInverseCdf`) reads the table in constant time per
+    draw and returns exactly what ``np.interp`` would.
     """
     lam_table = np.linspace(0.0, TWO_PI, 16385)
-    u_table = _mimic_cdf(lam_table)
+    inverse_cdf = _BucketedInverseCdf(_mimic_cdf(lam_table), lam_table)
     return LhvModel(
         name="quantum_mimic_attempt",
         pdf=_mimic_pdf,
-        sample=lambda rng, n: np.interp(rng.random(n), u_table, lam_table),
+        sample=lambda rng, n: inverse_cdf(rng.random(n)),
         response_d=lambda lam, angle: _sign_of_cos(lam, angle),
         response_g=lambda lam, angle: -_sign_of_cos(lam, angle),
         support=(0.0, TWO_PI),
     )
+
+
+class _BucketedInverseCdf:
+    """``np.interp(u, u_table, lam_table)`` for draws u in [0, 1), bit for bit.
+
+    ``u_table`` increases from 0.  A table of 2**18 uniform buckets holds
+    the row (last knot at or below) of each bucket's left edge; only
+    draws in a bucket that holds a knot, about 6% for the mimic CDF, need
+    a binary search.  The value is numpy's own formula
+    slope[j] * (u - u_table[j]) + lam_table[j]; draws at or past the last
+    knot read the last value.
+    """
+
+    BITS = 18
+
+    def __init__(self, u_table: np.ndarray, lam_table: np.ndarray):
+        if u_table[0] != 0.0:
+            raise ValueError("the CDF table must start at 0")
+        buckets = 1 << self.BITS
+        # row i covers the bucket edges ceil(u_i * buckets) up to the next
+        # row's; the last row covers the rest, through the right edge
+        edges = np.minimum(np.ceil(u_table * buckets), buckets + 1).astype(np.int64)
+        counts = np.diff(edges, append=buckets + 1)
+        rows = np.arange(len(u_table), dtype=np.min_scalar_type(len(u_table)))
+        first = np.repeat(rows, counts)
+        self._first = first[:-1]
+        self._spans_knot = first[1:] != first[:-1]
+        self._u = u_table
+        self._lam = lam_table
+        # a zero slope past the last knot turns the formula into lam_table[-1]
+        self._slope = np.append(np.diff(lam_table) / np.diff(u_table), 0.0)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        bucket = (u * (1 << self.BITS)).astype(np.intp)
+        j = self._first[bucket].astype(np.intp)
+        search = np.flatnonzero(self._spans_knot[bucket])
+        j[search] = np.searchsorted(self._u, u[search], side="right") - 1
+        return self._slope[j] * (u - self._u[j]) + self._lam[j]
 
 
 def builtin_models() -> list[LhvModel]:

@@ -46,7 +46,7 @@ __all__ = [
     "make_state",
     "analyzer_basis",
     "joint_distribution",
-    "correlation",
+    "joint_table",
     "closed_form_correlation",
 ]
 
@@ -154,11 +154,23 @@ def analyzer_basis(
     The minus eigenvector is the orthogonal completion with determinant
     +1, i.e. (-sin, cos).
     """
-    if not math.isfinite(angle):
+    plus, minus = _bases(particle, angle)
+    return plus, minus
+
+
+def _bases(particle: ParticleKind, angle) -> np.ndarray:
+    """Analyzer bases broadcast over ``angle``: shape (..., 2, 2), the
+    rows of each 2x2 block being the plus and minus eigenvectors."""
+    theta = particle.angle_scale * np.asarray(angle, dtype=np.float64)
+    if not np.isfinite(theta).all():
         raise ValueError("analyzer angle must be finite")
-    theta = particle.angle_scale * angle
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c, s]), np.array([-s, c])
+    c, s = np.cos(theta), np.sin(theta)
+    u = np.empty(theta.shape + (2, 2))
+    u[..., 0, 0] = c
+    u[..., 0, 1] = s
+    u[..., 1, 0] = -s
+    u[..., 1, 1] = c
+    return u
 
 
 @dataclass(frozen=True)
@@ -171,25 +183,52 @@ class JointDistribution:
     p_mm: float
 
     def __post_init__(self):
-        probs = self.as_array()
-        if np.any(probs < -NORMALIZATION_ATOL) or np.any(probs > 1.0 + NORMALIZATION_ATOL):
-            raise ValueError(f"probabilities outside [0, 1]: {probs}")
-        total = float(probs.sum())
+        probs = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
+        if min(probs) < -NORMALIZATION_ATOL or max(probs) > 1.0 + NORMALIZATION_ATOL:
+            raise ValueError(f"probabilities outside [0, 1]: {self.as_array()}")
+        total = float(sum(probs))
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
 
-    def probability(self, d: int, g: int) -> float:
-        """P(D -> d, G -> g) for outcomes d, g in {+1, -1}."""
-        if d == 1:
-            return self.p_pp if g == 1 else self.p_pm
-        return self.p_mp if g == 1 else self.p_mm
-
     def correlation(self) -> float:
         """E = p_pp + p_mm - p_mp - p_pm."""
         return self.p_pp + self.p_mm - self.p_mp - self.p_pm
+
+
+def _born_table(state: EntangledState, delta, gamma) -> np.ndarray:
+    # rows of u_* are the (+, -) eigenvectors, so amp[x, y] = <e_x e_y | psi>;
+    # each point is its own 2x2 product, so a table entry is bit for bit
+    # the scalar result at that point
+    u_d = _bases(state.particle, delta)
+    u_g = _bases(state.particle, gamma)
+    amp = u_d @ state.amplitudes.reshape(2, 2) @ np.swapaxes(u_g, -1, -2)
+    p = np.abs(amp) ** 2
+    # fused multiply-adds in the 2x2 products leave ~1e-36 dust where the
+    # projection cancels exactly; strictly (anti)correlated outcomes at
+    # shared angles must have probability exactly 0, and a true probability
+    # below 1e-28 is unreachable at any simulable trial count
+    p[p < 1e-28] = 0.0
+    return p.reshape(p.shape[:-2] + (4,))
+
+
+def joint_table(state: EntangledState, delta, gamma) -> np.ndarray:
+    """Born-rule outcome-pair probabilities, broadcast over the angles.
+
+    ``delta`` and ``gamma`` broadcast against each other; the result has
+    their broadcast shape plus a last axis of length 4 holding
+    (p_pp, p_pm, p_mp, p_mm), each row equal bit for bit to
+    :func:`joint_distribution` at that point and checked the same way.
+    """
+    p = _born_table(state, delta, gamma)
+    if np.any(p < -NORMALIZATION_ATOL) or np.any(p > 1.0 + NORMALIZATION_ATOL):
+        raise ValueError("probabilities outside [0, 1]")
+    total = p.sum(axis=-1)
+    if np.any(np.abs(total - 1.0) > NORMALIZATION_ATOL):
+        raise ValueError("probabilities do not sum to 1")
+    return p
 
 
 def joint_distribution(
@@ -199,30 +238,11 @@ def joint_distribution(
 
     Each probability is the squared magnitude of the projection of the
     state onto the tensor product of the corresponding analyzer
-    eigenvectors (delta on particle D, gamma on particle G).
+    eigenvectors (delta on particle D, gamma on particle G).  The scalar
+    form of :func:`joint_table`; the distribution checks its own range
+    and sum.
     """
-    m = state.amplitudes.reshape(2, 2)
-    u_d = np.vstack(analyzer_basis(state.particle, delta))
-    u_g = np.vstack(analyzer_basis(state.particle, gamma))
-    # rows of u_* are the (+, -) eigenvectors, so amp[x, y] = <e_x e_y | psi>
-    amp = u_d @ m @ u_g.T
-    p = np.abs(amp) ** 2
-    # fused multiply-adds in the 2x2 products leave ~1e-36 dust where the
-    # projection cancels exactly; strictly (anti)correlated outcomes at
-    # shared angles must have probability exactly 0, and a true probability
-    # below 1e-28 is unreachable at any simulable trial count
-    p[p < 1e-28] = 0.0
-    return JointDistribution(
-        p_pp=float(p[0, 0]),
-        p_pm=float(p[0, 1]),
-        p_mp=float(p[1, 0]),
-        p_mm=float(p[1, 1]),
-    )
-
-
-def correlation(state: EntangledState, delta: float, gamma: float) -> float:
-    """Expectation of the product of the two +-1 outcomes."""
-    return joint_distribution(state, delta, gamma).correlation()
+    return JointDistribution(*_born_table(state, delta, gamma).tolist())
 
 
 def closed_form_correlation(kind: StateKind, delta, gamma):

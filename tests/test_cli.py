@@ -346,6 +346,25 @@ class TestMaximizeCommand:
         payload = json.loads(out.read_text())
         assert abs(payload["s_star"] - 2 * math.sqrt(2)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            "spin-anticorrelated",
+            "spin-correlated",
+            "photon-correlated",
+            "photon-anticorrelated",
+        ],
+    )
+    def test_one_degree_grid(self, capsys, state):
+        # a 360^4-point grid: a search holding every point at once would
+        # need a 134 GB temporary
+        code, stdout, _ = run(
+            capsys, "maximize", "--state", state, "--coarse-step", "1"
+        )
+        assert code == 0
+        s_star = float(stdout.split("s_star = ")[1])
+        assert abs(s_star - 2 * math.sqrt(2)) < 1e-6
+
     def test_step_validation(self, capsys):
         code, _, stderr = run(capsys, "maximize", "--coarse-step", "20")
         assert code == 2

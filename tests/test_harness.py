@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from bellsim.harness import (
     tabulate,
     wigner_scan,
 )
-from bellsim.lhv import sign_model
+from bellsim.inequalities import QuantumBornSource, wigner_check
+from bellsim.lhv import quantum_mimic_attempt, sign_model
 from bellsim.qstate import StateKind, closed_form_correlation, make_state
 
 TWO_SQRT2 = 2 * math.sqrt(2.0)
@@ -102,6 +104,48 @@ class TestRunTrials:
         b = run_trials(sign_model(), schedule, 100_000, seed=5)
         assert np.array_equal(a.outcome_d, b.outcome_d)
         assert np.array_equal(a.outcome_g, b.outcome_g)
+
+    @pytest.mark.parametrize("policy", list(SettingsPolicy))
+    def test_lhv_block_matches_per_pair_masks(self, policy):
+        # reference: select each pair's trials with a boolean mask; each
+        # response call must see exactly the lam values, in trial order,
+        # that the mask selects
+        model = quantum_mimic_attempt()
+        seen = []
+
+        def recording(response):
+            def respond(lam, angle):
+                seen.append(lam.copy())
+                return response(lam, angle)
+
+            return respond
+
+        source = SimpleNamespace(
+            sample=model.sample,
+            response_d=recording(model.response_d),
+            response_g=recording(model.response_g),
+        )
+        pairs = ((0.0, 0.4), (1.0, 0.4), (0.0, 0.4), (2.5, -1.0), (0.3, 0.3))
+        schedule = SettingsSchedule(pairs=pairs, policy=policy)
+        child = np.random.SeedSequence(17)
+        idx, d, g = harness._generate_block(source, schedule, None, child, 3, 70_003)
+        # the same substream, drawn in the block's order: pairs, then lam
+        rng = np.random.default_rng(np.random.SeedSequence(17))
+        if policy is SettingsPolicy.UNIFORM_RANDOM:
+            assert np.array_equal(idx, rng.integers(0, len(pairs), size=70_000))
+        lam = model.sample(rng, 70_000)
+        expected_d = np.empty(70_000, dtype=np.int8)
+        expected_g = np.empty(70_000, dtype=np.int8)
+        expected_seen = []
+        for p, (delta, gamma) in enumerate(pairs):
+            mask = idx == p
+            expected_d[mask] = model.response_d(lam[mask], delta)
+            expected_g[mask] = model.response_g(lam[mask], gamma)
+            expected_seen += [lam[mask], lam[mask]]
+        assert np.array_equal(d, expected_d)
+        assert np.array_equal(g, expected_g)
+        assert len(seen) == len(expected_seen)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected_seen))
 
 
 class TestTabulate:
@@ -263,6 +307,16 @@ class TestWignerScan:
         for p in wigner_scan(0.0, math.pi / 2, 31):
             expected = (math.sin(p.theta2) + math.cos(p.theta2) - 1.0) / 4.0
             assert_allclose(p.margin, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_points_equal_scalar_checks(self, kind):
+        # the broadcast scan reads exactly what wigner_check reads point by point
+        source = QuantumBornSource(make_state(kind))
+        theta1, theta3 = -0.5, 3.5
+        for p in wigner_scan(theta1, theta3, 101, kind):
+            report = wigner_check(source, theta1, p.theta2, theta3, kind.sign)
+            assert (p.lhs, p.rhs, p.margin) == (report.lhs, report.bound, report.margin)
+            assert type(p.lhs) is float and type(p.margin) is float
 
     def test_step_validation(self):
         with pytest.raises(ValueError):

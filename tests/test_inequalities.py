@@ -40,6 +40,11 @@ EXPECTED_GP = (1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1)
 EXPECTED_S = (2, 2, 2, -2, -2, -2, 2, -2, -2, 2, -2, -2, -2, 2, 2, 2)
 
 
+def prob(joint, d, g):
+    """P(D -> d, G -> g), read from the joint's named field."""
+    return getattr(joint, "p_" + "pm"[d < 0] + "pm"[g < 0])
+
+
 class SawtoothSource(CorrelationSource):
     """Exact correlations of the strictly anticorrelated threshold model."""
 
@@ -161,9 +166,9 @@ class TestSextetMixtureProbabilities:
             for _ in range(200):
                 w = rng.dirichlet(np.ones(8))
                 source = SextetMixtureSource(w, sign, self.THETAS)
-                lhs = source.joint(t3, t2).probability(-1, g)
-                rhs1 = source.joint(t1, t2).probability(1, g)
-                rhs2 = source.joint(t1, t3).probability(-1, g)
+                lhs = prob(source.joint(t3, t2), -1, g)
+                rhs1 = prob(source.joint(t1, t2), 1, g)
+                rhs2 = prob(source.joint(t1, t3), -1, g)
                 assert_allclose(lhs, sum(w[index[d]] for d in lhs_ds), atol=1e-15)
                 assert_allclose(rhs1, sum(w[index[d]] for d in rhs1_ds), atol=1e-15)
                 assert_allclose(rhs2, sum(w[index[d]] for d in rhs2_ds), atol=1e-15)
@@ -382,6 +387,26 @@ class TestEmpiricalSource:
         source = EmpiricalSource([(0.0, 1.0)], np.array([[1, 1, 1, 1]]))
         with pytest.raises(KeyError, match="no counts"):
             bell_d1(source, 0.0, 1.0, 2.0, CorrelationSign.ANTICORRELATED)
+
+    def test_repeated_pairs_add_up(self):
+        pairs = [(0.0, 1.0), (0.0, 1.0), (0.0, 2.0)]
+        counts = np.array([[3, 1, 0, 0], [1, 0, 2, 1], [0, 5, 5, 0]])
+        source = EmpiricalSource(pairs, counts)
+        assert source.correlation(0.0, 1.0) == (4 + 1 - 1 - 2) / 8
+        assert source.joint(0.0, 1.0).as_array().tolist() == [0.5, 0.125, 0.25, 0.125]
+
+    def test_repeated_schedule_pairs_use_every_trial(self):
+        from bellsim import harness
+
+        # delta = delta' and gamma = gamma' put all 40000 trials on one pair
+        schedule = harness.chsh_schedule(0.0, 0.0, math.pi / 4, math.pi / 4)
+        state = make_state(StateKind.SPIN_ANTICORRELATED)
+        table = harness.tabulate(harness.run_trials(state, schedule, 40_000, 1))
+        n_pp, n_pm, n_mp, n_mm = table.counts.sum(axis=0)
+        assert n_pp + n_pm + n_mp + n_mm == 40_000
+        source = table.to_source()
+        e = (n_pp + n_mm - n_pm - n_mp) / 40_000
+        assert source.correlation(0.0, math.pi / 4) == e
 
     def test_zero_trial_pair_is_an_error(self):
         source = EmpiricalSource([(0.0, 1.0)], np.array([[0, 0, 0, 0]]))

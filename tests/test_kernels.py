@@ -1,6 +1,13 @@
+import math
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bellsim import _kernels
+from bellsim.qstate import StateKind, closed_form_correlation
 
 
 def random_inputs(seed, n=50_000, k=4):
@@ -59,6 +66,72 @@ def test_grid_max_against_brute_force():
         abs(corr[i_d, i_g] + corr[i_d, i_gp] + corr[i_dp, i_g] - corr[i_dp, i_gp])
         == value
     )
+
+
+def brute_grid_max(corr):
+    """O(m^4) oracle: every quadruple scored with the four-term expression,
+    first maximum in row-major (d, d', g, g') order; one d at a time, so
+    memory stays O(m^3)."""
+    best, best_index = -1.0, None
+    for d in range(corr.shape[0]):
+        s = np.abs(
+            corr[d][None, :, None]
+            + corr[d][None, None, :]
+            + corr[:, :, None]
+            - corr[:, None, :]
+        )
+        flat = int(np.argmax(s))
+        if s.flat[flat] > best:
+            best = float(s.flat[flat])
+            best_index = (d, *np.unravel_index(flat, s.shape))
+    return best, tuple(int(i) for i in best_index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda m: arrays(
+            np.float64,
+            (m, m),
+            # a coarse lattice, so many quadruples tie
+            elements=st.integers(-8, 8).map(lambda k: k / 8),
+        )
+    )
+)
+def test_grid_max_tied_matrices_match_oracle(corr):
+    assert _kernels.grid_max_abs_chsh(corr) == brute_grid_max(corr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda m: arrays(
+            np.float64,
+            (m, m),
+            elements=st.floats(-1.0, 1.0).map(lambda x: round(x, 2)),
+        )
+    ),
+    st.sampled_from([1e-3, 1.0, 7.5]),
+)
+def test_grid_max_rounded_matrices_match_oracle(corr, scale):
+    corr = corr * scale
+    assert _kernels.grid_max_abs_chsh(corr) == brute_grid_max(corr)
+
+
+@pytest.mark.parametrize("kind", list(StateKind))
+@pytest.mark.parametrize("step_deg", [15.0, 10.0, 7.5, 6.0, 5.0])
+def test_grid_max_closed_form_grids_match_oracle(kind, step_deg):
+    # the grids maximize_chsh searches; their symmetries tie many quadruples
+    grid = np.arange(0.0, 2.0 * math.pi - 1e-12, math.radians(step_deg))
+    corr = closed_form_correlation(kind, grid[:, None], grid[None, :])
+    assert _kernels.grid_max_abs_chsh(corr) == brute_grid_max(corr)
+
+
+def test_grid_max_rejects_non_finite():
+    corr = np.zeros((3, 3))
+    corr[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        _kernels.grid_max_abs_chsh(corr)
 
 
 def test_backend_reports_a_name():

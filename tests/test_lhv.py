@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from bellsim import lhv
 from bellsim.lhv import (
     LhvModel,
     UnboundedSupportError,
@@ -14,7 +18,6 @@ from bellsim.lhv import (
     get_model,
     quadrature_correlation,
     quantum_mimic_attempt,
-    sample_pair,
     sign_model,
 )
 
@@ -95,23 +98,70 @@ class TestSamplePair:
         assert np.all(products == -1)
 
     def test_codomain(self):
+        # one lam per trial feeds both wings
         rng = np.random.default_rng(3)
         for model in builtin_models():
-            for _ in range(50):
-                d, g = sample_pair(model, 0.4, 1.1, rng)
-                assert d in (-1, 1) and g in (-1, 1)
+            lam = model.sample(rng, 50)
+            d = model.response_d(lam, 0.4)
+            g = model.response_g(lam, 1.1)
+            assert d.shape == g.shape == (50,)
+            assert np.all(np.abs(d) == 1) and np.all(np.abs(g) == 1)
 
     def test_deterministic_under_seed(self):
-        model = sign_model()
-        first = [
-            sample_pair(model, 0.0, math.pi / 2, np.random.default_rng(42))
-            for _ in range(1)
-        ]
-        second = [
-            sample_pair(model, 0.0, math.pi / 2, np.random.default_rng(42))
-            for _ in range(1)
-        ]
-        assert first == second
+        for model in builtin_models():
+            first = model.sample(np.random.default_rng(42), 1000)
+            second = model.sample(np.random.default_rng(42), 1000)
+            assert np.array_equal(first, second)
+
+
+class TestBucketedInverseCdf:
+    LAM = np.linspace(0.0, TWO_PI, 16385)
+    U = lhv._mimic_cdf(LAM)
+    INVERSE = lhv._BucketedInverseCdf(U, LAM)
+
+    def assert_matches_interp(self, u):
+        lam = self.INVERSE(u)
+        expected = np.interp(u, self.U, self.LAM)
+        assert np.array_equal(lam.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 500),
+            elements=st.floats(0.0, 1.0, exclude_max=True, width=64),
+        )
+    )
+    def test_random_draws_match_interp(self, u):
+        self.assert_matches_interp(u)
+
+    def test_many_uniform_draws_match_interp(self):
+        self.assert_matches_interp(np.random.default_rng(12).random(1_000_000))
+
+    def test_hard_inputs_match_interp(self):
+        # knots, bucket edges and the floats either side of each
+        buckets = 1 << lhv._BucketedInverseCdf.BITS
+        edges = np.arange(buckets) / buckets
+        points = np.concatenate([self.U, edges])
+        u = np.concatenate(
+            [points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)]
+        )
+        self.assert_matches_interp(u[(u >= 0.0) & (u < 1.0)])
+
+    def test_draws_past_the_last_knot_read_the_last_value(self):
+        u_table = np.array([0.0, 0.25, 0.5, 0.75])
+        lam_table = np.array([0.0, 1.0, 2.0, 3.0])
+        inverse = lhv._BucketedInverseCdf(u_table, lam_table)
+        u = np.array([0.0, 0.1, 0.25, 0.6, 0.75, 0.8, np.nextafter(1.0, 0.0)])
+        lam = inverse(u)
+        assert np.array_equal(lam, np.interp(u, u_table, lam_table))
+        assert np.all(lam[-3:] == 3.0)
+
+    def test_model_samples_are_interp_of_the_same_draws(self):
+        model = quantum_mimic_attempt()
+        lam = model.sample(np.random.default_rng(8), 100_000)
+        u = np.random.default_rng(8).random(100_000)
+        assert np.array_equal(lam, np.interp(u, self.U, self.LAM))
 
 
 class TestQuadrature:

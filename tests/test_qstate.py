@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from bellsim.qstate import (
@@ -13,10 +16,11 @@ from bellsim.qstate import (
     StateKind,
     analyzer_basis,
     closed_form_correlation,
-    correlation,
     joint_distribution,
+    joint_table,
     make_state,
 )
+from bellsim.inequalities import QuantumBornSource
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -186,16 +190,66 @@ class TestJointDistribution:
             JointDistribution(0.3, 0.3, 0.3, 0.3)
 
 
+class TestJointTable:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        angles=arrays(
+            np.float64, (2, 60), elements=st.floats(-20.0, 20.0, width=64)
+        )
+    )
+    def test_matches_scalar_path_bitwise(self, kind, angles):
+        state = make_state(kind)
+        delta, gamma = angles
+        table = joint_table(state, delta, gamma)
+        assert table.shape == (60, 4)
+        for row, d, g in zip(table, delta, gamma):
+            scalar = joint_distribution(state, float(d), float(g)).as_array()
+            assert np.array_equal(row.view(np.int64), scalar.view(np.int64))
+        assert np.all(table >= 0.0)
+        assert np.all(np.abs(table.sum(axis=-1) - 1.0) <= 1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_grid_broadcast_and_shared_angles(self, kind):
+        # every 5 degrees on both wings, so the equal-angle rows, whose
+        # forbidden outcome pairs must read exactly 0, are included
+        state = make_state(kind)
+        grid = np.radians(np.arange(0.0, 360.0, 5.0))
+        table = joint_table(state, grid[:, None], grid[None, :])
+        assert table.shape == (72, 72, 4)
+        for i, delta in enumerate(grid):
+            for j, gamma in enumerate(grid):
+                scalar = joint_distribution(state, delta, gamma).as_array()
+                assert np.array_equal(table[i, j], scalar)
+        diagonal = table[np.arange(72), np.arange(72)]
+        forbidden = [1, 2] if kind.sign is CorrelationSign.CORRELATED else [0, 3]
+        assert np.all(diagonal[:, forbidden] == 0.0)
+
+    def test_scalar_angles_give_one_row(self):
+        state = make_state(StateKind.SPIN_ANTICORRELATED)
+        row = joint_table(state, 0.3, 1.1)
+        assert row.shape == (4,)
+        assert np.array_equal(row, joint_distribution(state, 0.3, 1.1).as_array())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        state = make_state(StateKind.PHOTON_CORRELATED)
+        with pytest.raises(ValueError, match="finite"):
+            joint_table(state, np.array([0.0, bad]), 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            joint_distribution(state, 0.5, bad)
+
+
 class TestCorrelation:
     def test_singlet_examples(self):
-        state = make_state(StateKind.SPIN_ANTICORRELATED)
-        assert_allclose(correlation(state, 0.0, 0.0), -1.0, atol=1e-15)
-        assert_allclose(correlation(state, 0.0, math.pi / 2), 0.0, atol=1e-12)
+        born = QuantumBornSource(make_state(StateKind.SPIN_ANTICORRELATED))
+        assert_allclose(born.correlation(0.0, 0.0), -1.0, atol=1e-15)
+        assert_allclose(born.correlation(0.0, math.pi / 2), 0.0, atol=1e-12)
 
     def test_photon_correlated_example(self):
-        state = make_state(StateKind.PHOTON_CORRELATED)
+        born = QuantumBornSource(make_state(StateKind.PHOTON_CORRELATED))
         assert_allclose(
-            correlation(state, 0.0, math.pi / 8), math.cos(math.pi / 4), atol=1e-12
+            born.correlation(0.0, math.pi / 8), math.cos(math.pi / 4), atol=1e-12
         )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -211,13 +265,13 @@ class TestCorrelation:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_rotational_invariance(self, kind):
-        state = make_state(kind)
+        born = QuantumBornSource(make_state(kind))
         rng = np.random.default_rng(37)
         for _ in range(500):
             delta, gamma, shift = rng.uniform(-6, 6, 3)
             assert_allclose(
-                correlation(state, delta + shift, gamma + shift),
-                correlation(state, delta, gamma),
+                born.correlation(delta + shift, gamma + shift),
+                born.correlation(delta, gamma),
                 atol=1e-12,
             )
 
@@ -257,12 +311,12 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_api_matches_closed_form(self, kind):
-        state = make_state(kind)
+        born = QuantumBornSource(make_state(kind))
         rng = np.random.default_rng(43)
         for _ in range(500):
             delta, gamma = rng.uniform(-7, 7, 2)
             assert_allclose(
-                correlation(state, delta, gamma),
+                born.correlation(delta, gamma),
                 closed_form_correlation(kind, delta, gamma),
                 atol=1e-12,
             )
@@ -283,8 +337,9 @@ def test_pi_offset_behaviour(kind):
     # spin pairs swap correlation character under gamma -> gamma + pi;
     # photon pairs are pi-periodic and keep it
     state = make_state(kind)
+    born = QuantumBornSource(state)
     for delta in np.linspace(-2.0, 2.0, 9):
-        e = correlation(state, delta, delta + math.pi)
+        e = born.correlation(delta, delta + math.pi)
         if state.particle is ParticleKind.SPIN_HALF:
             expected = -kind.sign.factor
         else:
