@@ -61,13 +61,12 @@ from .lhv import (
 from .qstate import (
     CorrelationSign,
     EntangledState,
-    JointDistribution,
     ParticleKind,
     StateKind,
     analyzer_basis,
     closed_form_correlation,
+    joint_correlation,
     joint_distribution,
-    joint_table,
     make_state,
 )
 

@@ -168,6 +168,8 @@ def read_trials_csv(path: str) -> harness.TrialLog:
         )
     except ValueError:
         raise UsageError("line 1: angles must be numeric") from None
+    if not all(math.isfinite(a) for a in (delta, delta_prime, gamma, gamma_prime)):
+        raise UsageError("line 1: angles must be finite")
     if len(lines) < 2 or lines[1] != TRIAL_CSV_COLUMNS:
         raise UsageError(f"line 2: expected header {TRIAL_CSV_COLUMNS!r}")
 

@@ -33,7 +33,8 @@ from .qstate import (
     EntangledState,
     StateKind,
     closed_form_correlation,
-    joint_table,
+    joint_correlation,
+    joint_distribution,
     make_state,
 )
 
@@ -125,7 +126,7 @@ def _block_slices(n: int):
 
 def _quantum_cumulative(state: EntangledState, pairs) -> np.ndarray:
     delta, gamma = np.array(pairs, dtype=np.float64).T
-    return np.cumsum(joint_table(state, delta, gamma)[:, :3], axis=1)
+    return np.cumsum(joint_distribution(state, delta, gamma)[:, :3], axis=1)
 
 
 def _generate_block(source, schedule, cum, child, start, stop):
@@ -262,7 +263,7 @@ def analyze_chsh(counts: CountsTable) -> ChshAnalysis:
         total = int(row.sum())
         if total == 0:
             raise ValueError(f"no trials recorded for settings pair {label!r}")
-        e = float((row[0] + row[3] - row[1] - row[2]) / total)
+        e = joint_correlation(row) / total
         var = (1.0 - e * e) / total
         variance += var
         per_pair.append(PairEstimate(label, e, math.sqrt(var), total))

@@ -2,10 +2,12 @@
 
 Every evaluator takes a :class:`CorrelationSource`, an object providing
 the correlation function ``E(delta, gamma)`` and, where meaningful, the
-joint outcome-pair probabilities.  Sources wrap the quantum closed
-forms, the exact Born engine, local hidden-variable models, empirical
-counts, and convex mixtures of fixed-outcome sextets, so the same
-inequality code runs against theory, simulation, and data.
+joint outcome-pair probabilities: an array whose last axis holds the
+(D, G) outcome pairs in the column order (+,+), (+,-), (-,+), (-,-).
+Sources wrap the quantum closed forms, the exact Born engine, local
+hidden-variable models, empirical counts, and convex mixtures of
+fixed-outcome sextets, so the same inequality code runs against theory,
+simulation, and data.
 
 Implemented bounds:
 
@@ -40,11 +42,10 @@ from .lhv import LhvModel, _midpoints, quadrature_correlation
 from .qstate import (
     CorrelationSign,
     EntangledState,
-    JointDistribution,
     StateKind,
     closed_form_correlation,
+    joint_correlation,
     joint_distribution,
-    joint_table,
 )
 
 __all__ = [
@@ -110,24 +111,19 @@ class JointUnavailableError(ValueError):
 class CorrelationSource:
     """Provider of E(delta, gamma); subclasses may also provide joints.
 
-    A subclass that provides joints gets E from them by default.
+    :meth:`joints` returns the outcome-pair probabilities at a settings
+    pair as an array in the column order above; a source that can
+    broadcast over angle arrays does so.  A subclass that provides
+    joints gets E from them by default.
     """
 
     def correlation(self, delta: float, gamma: float) -> float:
-        return self.joint(delta, gamma).correlation()
+        return joint_correlation(self.joints(delta, gamma))
 
-    def joint(self, delta: float, gamma: float) -> JointDistribution:
+    def joints(self, delta, gamma) -> np.ndarray:
         raise JointUnavailableError(
             f"{self.describe()} provides no joint outcome probabilities"
         )
-
-    def joints(self, delta, gamma) -> np.ndarray:
-        """Joints as an array whose last axis holds (p_pp, p_pm, p_mp, p_mm).
-
-        The default reads one :meth:`joint` at scalar angles; a source
-        that can broadcast over angle arrays overrides it.
-        """
-        return self.joint(delta, gamma).as_array()
 
     def describe(self) -> str:
         return type(self).__name__
@@ -142,13 +138,13 @@ class QuantumClosedFormSource(CorrelationSource):
     def correlation(self, delta: float, gamma: float) -> float:
         return closed_form_correlation(self.kind, delta, gamma)
 
-    def joint(self, delta: float, gamma: float) -> JointDistribution:
+    def joints(self, delta, gamma) -> np.ndarray:
         # all four canonical states have uniform marginals and symmetric
         # joints, so E determines the distribution
         e = self.correlation(delta, gamma)
         same = 0.25 * (1.0 + e)
         diff = 0.25 * (1.0 - e)
-        return JointDistribution(p_pp=same, p_pm=diff, p_mp=diff, p_mm=same)
+        return np.stack([same, diff, diff, same], axis=-1)
 
     def describe(self) -> str:
         return f"closed-form:{self.kind.value}"
@@ -160,11 +156,8 @@ class QuantumBornSource(CorrelationSource):
     def __init__(self, state: EntangledState):
         self.state = state
 
-    def joint(self, delta: float, gamma: float) -> JointDistribution:
-        return joint_distribution(self.state, delta, gamma)
-
     def joints(self, delta, gamma) -> np.ndarray:
-        return joint_table(self.state, delta, gamma)
+        return joint_distribution(self.state, delta, gamma)
 
     def describe(self) -> str:
         return f"born:{self.state.kind.value}"
@@ -181,16 +174,14 @@ class LhvSource(CorrelationSource):
     def correlation(self, delta: float, gamma: float) -> float:
         return quadrature_correlation(self.model, delta, gamma, self.nodes)
 
-    def joint(self, delta: float, gamma: float) -> JointDistribution:
+    def joints(self, delta: float, gamma: float) -> np.ndarray:
         lam, weight = _midpoints(self.model.support, self.nodes)
         rho = self.model.pdf(lam) * weight
         d = self.model.response_d(lam, delta)
         g = self.model.response_g(lam, gamma)
-        p = [
-            float(np.sum(rho[(d == x) & (g == y)]))
-            for x, y in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        ]
-        return JointDistribution(p_pp=p[0], p_pm=p[1], p_mp=p[2], p_mm=p[3])
+        return np.array(
+            [np.sum(rho[(d == x) & (g == y)]) for x in (1, -1) for y in (1, -1)]
+        )
 
     def describe(self) -> str:
         return f"lhv:{self.model.name}:quadrature"
@@ -233,14 +224,12 @@ class EmpiricalSource(CorrelationSource):
         return row
 
     def correlation(self, delta: float, gamma: float) -> float:
-        n_pp, n_pm, n_mp, n_mm = self._row(delta, gamma)
-        total = n_pp + n_pm + n_mp + n_mm
-        return float((n_pp + n_mm - n_pm - n_mp) / total)
+        row = self._row(delta, gamma)
+        return float(joint_correlation(row) / row.sum())
 
-    def joint(self, delta: float, gamma: float) -> JointDistribution:
-        row = self._row(delta, gamma).astype(np.float64)
-        p = row / row.sum()
-        return JointDistribution(p_pp=p[0], p_pm=p[1], p_mp=p[2], p_mm=p[3])
+    def joints(self, delta: float, gamma: float) -> np.ndarray:
+        row = self._row(delta, gamma)
+        return row / row.sum()
 
     def describe(self) -> str:
         return f"empirical:{int(self.counts.sum())} trials"
@@ -367,8 +356,8 @@ def wigner_terms(
     ``source.joints`` does: a scan passes a theta2 array and gets one
     (lhs, rhs) pair per point, bit for bit the scalar values.
     """
-    # columns of a joints row: (+,+), (+,-), (-,+), (-,-); G -> g sits at
-    # offset g_col within the d = +1 (columns 0, 1) and d = -1 (2, 3) halves
+    # G -> g sits at offset g_col within the d = +1 (columns 0, 1) and
+    # d = -1 (columns 2, 3) halves of a joints row
     g_col = 0 if sign.factor == -1 else 1
     lhs = source.joints(theta3, theta2)[..., 2 + g_col]
     rhs = (
@@ -516,15 +505,13 @@ class SextetMixtureSource(CorrelationSource):
                 return i
         raise KeyError(f"angle {angle!r} is not one of the mixture angles")
 
-    def joint(self, delta: float, gamma: float) -> JointDistribution:
+    def joints(self, delta: float, gamma: float) -> np.ndarray:
         i = self._angle_index(delta)
         j = self._angle_index(gamma)
-        p = {(1, 1): 0.0, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.0}
+        p = np.zeros(4)
         for wi, s in zip(self.weights, self._sextets):
-            p[(s.d[i], s.g[j])] += wi
-        return JointDistribution(
-            p_pp=p[(1, 1)], p_pm=p[(1, -1)], p_mp=p[(-1, 1)], p_mm=p[(-1, -1)]
-        )
+            p[2 * (s.d[i] < 0) + (s.g[j] < 0)] += wi
+        return p
 
     def describe(self) -> str:
         return f"sextet-mixture:{self.sign.value}"
@@ -534,9 +521,9 @@ def _validated_weights(weights: Sequence[float], size: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (size,):
         raise ValueError(f"expected {size} weights, got shape {w.shape}")
-    if np.any(w < -WEIGHT_ATOL):
+    if not np.all(w >= -WEIGHT_ATOL):
         raise ValueError("weights must be nonnegative")
     total = float(w.sum())
-    if abs(total - 1.0) > WEIGHT_ATOL:
+    if not abs(total - 1.0) <= WEIGHT_ATOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
     return w

@@ -78,7 +78,7 @@ class LhvModel:
                 raise ValueError(f"invalid support {self.support!r}")
             nodes, weight = _midpoints(self.support, _NORM_CHECK_NODES)
             norm = float(np.sum(self.pdf(nodes)) * weight)
-            if abs(norm - 1.0) > DENSITY_ATOL:
+            if not abs(norm - 1.0) <= DENSITY_ATOL:
                 raise ValueError(
                     f"density of {self.name!r} integrates to {norm!r}, not 1"
                 )
@@ -259,13 +259,20 @@ class _BucketedInverseCdf:
         return self._slope[j] * (u - self._u[j]) + self._lam[j]
 
 
+_BUILTIN_MODELS = {
+    "sign_model": sign_model,
+    "constant_model": constant_model,
+    "quantum_mimic_attempt": quantum_mimic_attempt,
+}
+
+
 def builtin_models() -> list[LhvModel]:
-    return [sign_model(), constant_model(), quantum_mimic_attempt()]
+    return [factory() for factory in _BUILTIN_MODELS.values()]
 
 
 def get_model(name: str) -> LhvModel:
-    for model in builtin_models():
-        if model.name == name:
-            return model
-    known = ", ".join(m.name for m in builtin_models())
-    raise KeyError(f"unknown model {name!r} (available: {known})")
+    """Build the one built-in model called ``name``."""
+    if name not in _BUILTIN_MODELS:
+        known = ", ".join(_BUILTIN_MODELS)
+        raise KeyError(f"unknown model {name!r} (available: {known})")
+    return _BUILTIN_MODELS[name]()

@@ -12,7 +12,10 @@ by planar analyzers at angles ``delta`` (particle D) and ``gamma``
 Product-basis order is (up,up), (up,down), (down,up), (down,down); for
 photons read up = V, down = H.  Outcomes are encoded +1 for up/V and -1
 for down/H, so the correlation function E is the expectation of the
-product of the two outcomes.
+product of the two outcomes.  Joint outcome-pair probabilities are
+plain arrays whose last axis holds (p_pp, p_pm, p_mp, p_mm), in the
+same order (:func:`joint_distribution`), and :func:`joint_correlation`
+reads E off them.
 
 Conventions:
 
@@ -42,11 +45,10 @@ __all__ = [
     "ParticleKind",
     "StateKind",
     "EntangledState",
-    "JointDistribution",
     "make_state",
     "analyzer_basis",
     "joint_distribution",
-    "joint_table",
+    "joint_correlation",
     "closed_form_correlation",
 ]
 
@@ -125,7 +127,7 @@ class EntangledState:
         if amps.shape != (4,):
             raise ValueError("amplitudes must be a length-4 vector")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORMALIZATION_ATOL:
+        if not abs(norm - 1.0) <= NORMALIZATION_ATOL:
             raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -144,23 +146,16 @@ def make_state(kind: StateKind) -> EntangledState:
     )
 
 
-def analyzer_basis(
-    particle: ParticleKind, angle: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (+1, -1) measurement eigenvectors at an analyzer angle.
+def analyzer_basis(particle: ParticleKind, angle) -> np.ndarray:
+    """Orthonormal (+1, -1) measurement eigenvectors at analyzer angles.
 
     Spin-1/2: plus = (cos(angle/2), sin(angle/2)).
     Photon:   plus = (cos(angle), sin(angle)).
     The minus eigenvector is the orthogonal completion with determinant
-    +1, i.e. (-sin, cos).
+    +1, i.e. (-sin, cos).  The result broadcasts over ``angle`` with
+    shape (..., 2, 2), the rows of each 2x2 block being plus and minus,
+    so ``plus, minus = analyzer_basis(particle, angle)`` at one angle.
     """
-    plus, minus = _bases(particle, angle)
-    return plus, minus
-
-
-def _bases(particle: ParticleKind, angle) -> np.ndarray:
-    """Analyzer bases broadcast over ``angle``: shape (..., 2, 2), the
-    rows of each 2x2 block being the plus and minus eigenvectors."""
     theta = particle.angle_scale * np.asarray(angle, dtype=np.float64)
     if not np.isfinite(theta).all():
         raise ValueError("analyzer angle must be finite")
@@ -173,37 +168,28 @@ def _bases(particle: ParticleKind, angle) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Probabilities of the four outcome pairs (+,+), (+,-), (-,+), (-,-)."""
-
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
-
-    def __post_init__(self):
-        probs = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        if min(probs) < -NORMALIZATION_ATOL or max(probs) > 1.0 + NORMALIZATION_ATOL:
-            raise ValueError(f"probabilities outside [0, 1]: {self.as_array()}")
-        total = float(sum(probs))
-        if abs(total - 1.0) > NORMALIZATION_ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
-
-    def correlation(self) -> float:
-        """E = p_pp + p_mm - p_mp - p_pm."""
-        return self.p_pp + self.p_mm - self.p_mp - self.p_pm
+def _check_joints(p: np.ndarray) -> None:
+    # written so that a NaN probability fails both tests
+    if not np.all((p >= -NORMALIZATION_ATOL) & (p <= 1.0 + NORMALIZATION_ATOL)):
+        raise ValueError("probabilities outside [0, 1]")
+    if not np.all(np.abs(p.sum(axis=-1) - 1.0) <= NORMALIZATION_ATOL):
+        raise ValueError("probabilities do not sum to 1")
 
 
-def _born_table(state: EntangledState, delta, gamma) -> np.ndarray:
-    # rows of u_* are the (+, -) eigenvectors, so amp[x, y] = <e_x e_y | psi>;
-    # each point is its own 2x2 product, so a table entry is bit for bit
-    # the scalar result at that point
-    u_d = _bases(state.particle, delta)
-    u_g = _bases(state.particle, gamma)
+def joint_distribution(state: EntangledState, delta, gamma) -> np.ndarray:
+    """Born-rule outcome-pair probabilities for analyzers at delta, gamma.
+
+    Each probability is the squared magnitude of the projection of the
+    state onto the tensor product of the corresponding analyzer
+    eigenvectors (delta on particle D, gamma on particle G).  ``delta``
+    and ``gamma`` broadcast against each other; the result has their
+    broadcast shape plus a last axis holding (p_pp, p_pm, p_mp, p_mm).
+    Each point is its own 2x2 product, so a broadcast entry is bit for
+    bit the result at that point alone.
+    """
+    # rows of u_* are the (+, -) eigenvectors, so amp[x, y] = <e_x e_y | psi>
+    u_d = analyzer_basis(state.particle, delta)
+    u_g = analyzer_basis(state.particle, gamma)
     amp = u_d @ state.amplitudes.reshape(2, 2) @ np.swapaxes(u_g, -1, -2)
     p = np.abs(amp) ** 2
     # fused multiply-adds in the 2x2 products leave ~1e-36 dust where the
@@ -211,38 +197,21 @@ def _born_table(state: EntangledState, delta, gamma) -> np.ndarray:
     # shared angles must have probability exactly 0, and a true probability
     # below 1e-28 is unreachable at any simulable trial count
     p[p < 1e-28] = 0.0
-    return p.reshape(p.shape[:-2] + (4,))
-
-
-def joint_table(state: EntangledState, delta, gamma) -> np.ndarray:
-    """Born-rule outcome-pair probabilities, broadcast over the angles.
-
-    ``delta`` and ``gamma`` broadcast against each other; the result has
-    their broadcast shape plus a last axis of length 4 holding
-    (p_pp, p_pm, p_mp, p_mm), each row equal bit for bit to
-    :func:`joint_distribution` at that point and checked the same way.
-    """
-    p = _born_table(state, delta, gamma)
-    if np.any(p < -NORMALIZATION_ATOL) or np.any(p > 1.0 + NORMALIZATION_ATOL):
-        raise ValueError("probabilities outside [0, 1]")
-    total = p.sum(axis=-1)
-    if np.any(np.abs(total - 1.0) > NORMALIZATION_ATOL):
-        raise ValueError("probabilities do not sum to 1")
+    p = p.reshape(p.shape[:-2] + (4,))
+    _check_joints(p)
     return p
 
 
-def joint_distribution(
-    state: EntangledState, delta: float, gamma: float
-) -> JointDistribution:
-    """Born-rule outcome-pair probabilities for analyzers at delta, gamma.
+def joint_correlation(x):
+    """E = p_pp + p_mm - p_mp - p_pm over the last axis of a joints array.
 
-    Each probability is the squared magnitude of the projection of the
-    state onto the tensor product of the corresponding analyzer
-    eigenvectors (delta on particle D, gamma on particle G).  The scalar
-    form of :func:`joint_table`; the distribution checks its own range
-    and sum.
+    On a coincidence counts row (n_pp, n_pm, n_mp, n_mm) it is the exact
+    numerator n_pp + n_mm - n_mp - n_pm of the estimate.  A single point
+    gives a Python float.
     """
-    return JointDistribution(*_born_table(state, delta, gamma).tolist())
+    x = np.asarray(x)
+    e = x[..., 0] + x[..., 3] - x[..., 2] - x[..., 1]
+    return float(e) if e.ndim == 0 else e
 
 
 def closed_form_correlation(kind: StateKind, delta, gamma):

@@ -2,10 +2,14 @@
 root re-exports each module's public names as the same objects."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 import bellsim
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 MODULES = ["_kernels", "cli", "harness", "inequalities", "lhv", "qstate"]
 REEXPORTED = ["harness", "inequalities", "lhv", "qstate"]
@@ -27,6 +31,20 @@ def test_package_reexports_module_api(name):
         if getattr(bellsim, attr, None) is not getattr(module, attr)
     ]
     assert differ == []
+
+
+def test_benchmark_traced_names_exist():
+    # bench/tracing.py wraps these functions by name; a missing one breaks
+    # traced benchmark runs
+    spec = importlib.util.spec_from_file_location("bellsim_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in tracing.LAYERS
+        if not hasattr(importlib.import_module(f"bellsim.{module}"), attr)
+    ]
+    assert missing == []
 
 
 def test_correlation_sign_has_one_definition():

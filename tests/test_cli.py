@@ -203,6 +203,16 @@ class TestAnalyzeValidation:
         assert code == 2
         assert "line 1" in stderr
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_header_angle(self, tmp_path, capsys, bad):
+        path = tmp_path / "t.csv"
+        header = self.HEADER.replace("gamma=135.0", f"gamma={bad}")
+        path.write_text("\n".join([header, self.COLUMNS, "dg,+1,-1"]) + "\n")
+        code, stdout, stderr = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "line 1: angles must be finite" in stderr
+        assert stdout == ""
+
     def test_degenerate_four_rows(self, tmp_path, capsys):
         path = self.write(
             tmp_path, ["dg,+1,+1", "dg',+1,+1", "d'g,+1,+1", "d'g',+1,+1"]

@@ -22,6 +22,7 @@ from bellsim.inequalities import (
     enumerate_sextets,
     quartet_mixture_s,
     wigner_check,
+    wigner_terms,
 )
 from bellsim.lhv import LhvModel, sign_model
 from bellsim.qstate import StateKind, make_state
@@ -40,9 +41,9 @@ EXPECTED_GP = (1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1)
 EXPECTED_S = (2, 2, 2, -2, -2, -2, 2, -2, -2, 2, -2, -2, -2, 2, 2, 2)
 
 
-def prob(joint, d, g):
-    """P(D -> d, G -> g), read from the joint's named field."""
-    return getattr(joint, "p_" + "pm"[d < 0] + "pm"[g < 0])
+def prob(joints, d, g):
+    """P(D -> d, G -> g), read from its column (pp, pm, mp, mm) of a joints row."""
+    return joints[2 * (d < 0) + (g < 0)]
 
 
 class SawtoothSource(CorrelationSource):
@@ -117,6 +118,14 @@ class TestQuartetMixture:
         for w in weights:
             assert abs(quartet_mixture_s(w)) <= 2.0 + 1e-12
 
+    def test_nan_weights_rejected(self):
+        weights = np.full(16, 1 / 16)
+        weights[3] = math.nan
+        with pytest.raises(ValueError):
+            quartet_mixture_s(weights)
+        with pytest.raises(ValueError):
+            SextetMixtureSource(weights[:8] * 2, ANTI, (0.0, 1.0, 2.0))
+
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             quartet_mixture_s(np.full(16, 0.5))
@@ -166,9 +175,9 @@ class TestSextetMixtureProbabilities:
             for _ in range(200):
                 w = rng.dirichlet(np.ones(8))
                 source = SextetMixtureSource(w, sign, self.THETAS)
-                lhs = prob(source.joint(t3, t2), -1, g)
-                rhs1 = prob(source.joint(t1, t2), 1, g)
-                rhs2 = prob(source.joint(t1, t3), -1, g)
+                lhs = prob(source.joints(t3, t2), -1, g)
+                rhs1 = prob(source.joints(t1, t2), 1, g)
+                rhs2 = prob(source.joints(t1, t3), -1, g)
                 assert_allclose(lhs, sum(w[index[d]] for d in lhs_ds), atol=1e-15)
                 assert_allclose(rhs1, sum(w[index[d]] for d in rhs1_ds), atol=1e-15)
                 assert_allclose(rhs2, sum(w[index[d]] for d in rhs2_ds), atol=1e-15)
@@ -349,6 +358,21 @@ class TestWigner:
         report = wigner_check(source, 0.0, math.pi / 4, math.pi / 2, ANTI)
         assert_allclose(report.margin, 0.10355339059327379, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_closed_form_terms_broadcast(self, kind):
+        # the closed-form joints broadcast over theta2, each point bit for
+        # bit the scalar check and close to the Born joints
+        source = QuantumClosedFormSource(kind)
+        theta2 = np.linspace(-1.0, 4.0, 41)
+        lhs, rhs = wigner_terms(source, 0.3, theta2, 1.9, kind.sign)
+        for t, l, r in zip(theta2, lhs, rhs):
+            report = wigner_check(source, 0.3, float(t), 1.9, kind.sign)
+            assert (report.lhs, report.bound) == (l, r)
+        assert_allclose(source.joints(0.3, theta2).sum(axis=-1), 1.0, atol=1e-15)
+        born = QuantumBornSource(make_state(kind))
+        assert_allclose(lhs, wigner_terms(born, 0.3, theta2, 1.9, kind.sign)[0],
+                        atol=1e-12)
+
     def test_violated_across_open_interval(self):
         for deg in range(5, 90, 5):
             report = wigner_check(SINGLET_CF, 0.0, math.radians(deg), math.pi / 2, ANTI)
@@ -371,7 +395,7 @@ class TestWigner:
             np.full(8, 1 / 8), CorrelationSign.ANTICORRELATED, (0.0, 1.0, 2.0)
         )
         with pytest.raises(KeyError):
-            source.joint(0.0, 3.0)
+            source.joints(0.0, 3.0)
 
 
 class TestEmpiricalSource:
@@ -381,7 +405,7 @@ class TestEmpiricalSource:
         source = EmpiricalSource(pairs, counts)
         assert source.correlation(0.0, 1.0) == 1.0
         assert source.correlation(0.0, 2.0) == -1.0
-        assert source.joint(0.0, 1.0).p_pp == 0.5
+        assert source.joints(0.0, 1.0)[0] == 0.5
 
     def test_missing_pair_is_an_error(self):
         source = EmpiricalSource([(0.0, 1.0)], np.array([[1, 1, 1, 1]]))
@@ -393,7 +417,7 @@ class TestEmpiricalSource:
         counts = np.array([[3, 1, 0, 0], [1, 0, 2, 1], [0, 5, 5, 0]])
         source = EmpiricalSource(pairs, counts)
         assert source.correlation(0.0, 1.0) == (4 + 1 - 1 - 2) / 8
-        assert source.joint(0.0, 1.0).as_array().tolist() == [0.5, 0.125, 0.25, 0.125]
+        assert source.joints(0.0, 1.0).tolist() == [0.5, 0.125, 0.25, 0.125]
 
     def test_repeated_schedule_pairs_use_every_trial(self):
         from bellsim import harness

@@ -88,6 +88,29 @@ class TestModelInvariants:
         with pytest.raises(KeyError, match="unknown model"):
             get_model("nonesuch")
 
+    def test_get_model_builds_only_the_named_model(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(lhv, "_BucketedInverseCdf", lambda *a: built.append(a))
+        assert get_model("sign_model").name == "sign_model"
+        with pytest.raises(KeyError) as err:
+            get_model("nonesuch")
+        assert built == []
+        assert err.value.args[0] == (
+            "unknown model 'nonesuch' (available: "
+            "sign_model, constant_model, quantum_mimic_attempt)"
+        )
+
+    def test_rejects_nan_density(self):
+        with pytest.raises(ValueError, match="integrates"):
+            LhvModel(
+                name="nan",
+                pdf=lambda lam: np.full(np.shape(lam), math.nan),
+                sample=lambda rng, n: rng.uniform(0, 1, n),
+                response_d=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
+                response_g=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
+                support=(0.0, 1.0),
+            )
+
 
 class TestSamplePair:
     def test_sign_model_equal_angles_always_opposite(self):

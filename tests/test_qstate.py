@@ -11,13 +11,13 @@ from numpy.testing import assert_allclose
 from bellsim.qstate import (
     CorrelationSign,
     EntangledState,
-    JointDistribution,
     ParticleKind,
     StateKind,
+    _check_joints,
     analyzer_basis,
     closed_form_correlation,
+    joint_correlation,
     joint_distribution,
-    joint_table,
     make_state,
 )
 from bellsim.inequalities import QuantumBornSource
@@ -25,6 +25,9 @@ from bellsim.inequalities import QuantumBornSource
 SQRT_HALF = math.sqrt(0.5)
 
 ALL_KINDS = list(StateKind)
+
+# columns of a joints array
+PP, PM, MP, MM = range(4)
 
 
 def ref_joint(state, delta, gamma):
@@ -91,6 +94,13 @@ class TestMakeState:
                 amplitudes=np.array([1.0, 0, 0, 1.0]),
             )
 
+    def test_rejects_nan_amplitudes(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            EntangledState(
+                kind=StateKind.SPIN_ANTICORRELATED,
+                amplitudes=np.array([math.nan, 0.0, 0.0, 0.0]),
+            )
+
     def test_amplitudes_immutable(self):
         state = make_state(StateKind.SPIN_CORRELATED)
         with pytest.raises(ValueError):
@@ -126,30 +136,38 @@ class TestAnalyzerBasis:
         with pytest.raises(ValueError):
             analyzer_basis(ParticleKind.PHOTON, math.inf)
 
+    @pytest.mark.parametrize("particle", list(ParticleKind))
+    def test_broadcast_matches_scalar(self, particle):
+        angles = np.linspace(-7.0, 7.0, 29).reshape(29, 1)
+        bases = analyzer_basis(particle, angles)
+        assert bases.shape == (29, 1, 2, 2)
+        for angle, basis in zip(angles[:, 0], bases[:, 0]):
+            assert np.array_equal(basis, analyzer_basis(particle, float(angle)))
+
 
 class TestJointDistribution:
     def test_singlet_equal_angles_strict(self):
         state = make_state(StateKind.SPIN_ANTICORRELATED)
         for theta in (0.0, 0.4, 2.0, -1.3):
             dist = joint_distribution(state, theta, theta)
-            assert dist.p_pp == 0.0
-            assert dist.p_mm == 0.0
-            assert_allclose(dist.p_pm, 0.5, atol=1e-15)
-            assert_allclose(dist.p_mp, 0.5, atol=1e-15)
+            assert dist[PP] == 0.0
+            assert dist[MM] == 0.0
+            assert_allclose(dist[PM], 0.5, atol=1e-15)
+            assert_allclose(dist[MP], 0.5, atol=1e-15)
 
     def test_singlet_quarter_offset(self):
         state = make_state(StateKind.SPIN_ANTICORRELATED)
         dist = joint_distribution(state, 0.0, math.pi / 2)
         # half the + marginal times sin^2(pi/4)
-        assert_allclose(dist.p_pp, 0.25, atol=1e-12)
+        assert_allclose(dist[PP], 0.25, atol=1e-12)
 
     def test_correlated_pi_offset_flips(self):
         state = make_state(StateKind.SPIN_CORRELATED)
         dist = joint_distribution(state, 0.7, 0.7 + math.pi)
-        assert_allclose(dist.p_pp, 0.0, atol=1e-12)
-        assert_allclose(dist.p_mm, 0.0, atol=1e-12)
-        assert_allclose(dist.p_pm, 0.5, atol=1e-12)
-        assert_allclose(dist.p_mp, 0.5, atol=1e-12)
+        assert_allclose(dist[PP], 0.0, atol=1e-12)
+        assert_allclose(dist[MM], 0.0, atol=1e-12)
+        assert_allclose(dist[PM], 0.5, atol=1e-12)
+        assert_allclose(dist[MP], 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_normalization_fuzz(self, kind):
@@ -158,8 +176,7 @@ class TestJointDistribution:
         deltas = rng.uniform(-2 * math.pi, 2 * math.pi, 10_000)
         gammas = rng.uniform(-2 * math.pi, 2 * math.pi, 10_000)
         for delta, gamma in zip(deltas, gammas):
-            dist = joint_distribution(state, delta, gamma)
-            probs = dist.as_array()
+            probs = joint_distribution(state, delta, gamma)
             assert np.all(probs >= 0.0)
             assert abs(probs.sum() - 1.0) <= 1e-12
 
@@ -169,9 +186,9 @@ class TestJointDistribution:
         for theta in np.linspace(-3.0, 3.0, 25):
             dist = joint_distribution(state, theta, theta)
             if kind.sign is CorrelationSign.ANTICORRELATED:
-                assert dist.p_pp == 0.0 and dist.p_mm == 0.0
+                assert dist[PP] == 0.0 and dist[MM] == 0.0
             else:
-                assert dist.p_pm == 0.0 and dist.p_mp == 0.0
+                assert dist[PM] == 0.0 and dist[MP] == 0.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_marginals_are_half(self, kind):
@@ -180,17 +197,37 @@ class TestJointDistribution:
         for _ in range(300):
             delta, gamma = rng.uniform(-7, 7, 2)
             dist = joint_distribution(state, delta, gamma)
-            assert_allclose(dist.p_pp + dist.p_pm, 0.5, atol=1e-12)
-            assert_allclose(dist.p_pp + dist.p_mp, 0.5, atol=1e-12)
+            assert_allclose(dist[PP] + dist[PM], 0.5, atol=1e-12)
+            assert_allclose(dist[PP] + dist[MP], 0.5, atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            JointDistribution(0.5, 0.5, 0.5, -0.5)
+            _check_joints(np.array([0.5, 0.5, 0.5, -0.5]))
         with pytest.raises(ValueError):
-            JointDistribution(0.3, 0.3, 0.3, 0.3)
+            _check_joints(np.array([0.3, 0.3, 0.3, 0.3]))
+
+    def test_validation_rejects_nan(self):
+        with pytest.raises(ValueError):
+            _check_joints(np.array([math.nan, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            _check_joints(np.array([[0.5, 0.0, 0.0, 0.5], [0.5, math.nan, 0.0, 0.5]]))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_correlation_of_joints(self, kind):
+        state = make_state(kind)
+        grid = np.radians(np.arange(0.0, 360.0, 15.0))
+        table = joint_distribution(state, grid[:, None], grid[None, :])
+        e = joint_correlation(table)
+        assert e.shape == (24, 24)
+        assert_allclose(e, closed_form_correlation(kind, grid[:, None], grid[None, :]),
+                        atol=1e-12)
+        point = joint_correlation(table[3, 5])
+        assert type(point) is float and point == e[3, 5]
 
 
 class TestJointTable:
+    """joint_distribution over angle arrays against per-point calls."""
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @settings(max_examples=40, deadline=None)
     @given(
@@ -201,10 +238,10 @@ class TestJointTable:
     def test_matches_scalar_path_bitwise(self, kind, angles):
         state = make_state(kind)
         delta, gamma = angles
-        table = joint_table(state, delta, gamma)
+        table = joint_distribution(state, delta, gamma)
         assert table.shape == (60, 4)
         for row, d, g in zip(table, delta, gamma):
-            scalar = joint_distribution(state, float(d), float(g)).as_array()
+            scalar = joint_distribution(state, float(d), float(g))
             assert np.array_equal(row.view(np.int64), scalar.view(np.int64))
         assert np.all(table >= 0.0)
         assert np.all(np.abs(table.sum(axis=-1) - 1.0) <= 1e-12)
@@ -215,11 +252,11 @@ class TestJointTable:
         # forbidden outcome pairs must read exactly 0, are included
         state = make_state(kind)
         grid = np.radians(np.arange(0.0, 360.0, 5.0))
-        table = joint_table(state, grid[:, None], grid[None, :])
+        table = joint_distribution(state, grid[:, None], grid[None, :])
         assert table.shape == (72, 72, 4)
         for i, delta in enumerate(grid):
             for j, gamma in enumerate(grid):
-                scalar = joint_distribution(state, delta, gamma).as_array()
+                scalar = joint_distribution(state, delta, gamma)
                 assert np.array_equal(table[i, j], scalar)
         diagonal = table[np.arange(72), np.arange(72)]
         forbidden = [1, 2] if kind.sign is CorrelationSign.CORRELATED else [0, 3]
@@ -227,15 +264,16 @@ class TestJointTable:
 
     def test_scalar_angles_give_one_row(self):
         state = make_state(StateKind.SPIN_ANTICORRELATED)
-        row = joint_table(state, 0.3, 1.1)
+        row = joint_distribution(state, 0.3, 1.1)
         assert row.shape == (4,)
-        assert np.array_equal(row, joint_distribution(state, 0.3, 1.1).as_array())
+        column = joint_distribution(state, np.array([0.3]), np.array([1.1]))
+        assert np.array_equal(row, column[0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_angles(self, bad):
         state = make_state(StateKind.PHOTON_CORRELATED)
         with pytest.raises(ValueError, match="finite"):
-            joint_table(state, np.array([0.0, bad]), 0.5)
+            joint_distribution(state, np.array([0.0, bad]), 0.5)
         with pytest.raises(ValueError, match="finite"):
             joint_distribution(state, 0.5, bad)
 
@@ -260,8 +298,8 @@ class TestCorrelation:
             delta, gamma = rng.uniform(-7, 7, 2)
             dist = joint_distribution(state, delta, gamma)
             ref = ref_joint(state, delta, gamma)
-            for key in ("pp", "pm", "mp", "mm"):
-                assert_allclose(getattr(dist, "p_" + key), ref[key], atol=1e-13)
+            for column, key in enumerate(("pp", "pm", "mp", "mm")):
+                assert_allclose(dist[column], ref[key], atol=1e-13)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_rotational_invariance(self, kind):
