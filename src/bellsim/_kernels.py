@@ -2,6 +2,14 @@
 
 Outcome sampling, coincidence tabulation and the 4-angle grid search.
 ``bench/run.py`` times each of them as its own layer.
+
+The sampler compares the uniform draws with one threshold column at a
+time (three 1-D compares summed as uint8) instead of gathering an
+(m, 3) threshold array.  The tally builds a small per-trial code,
+``pair << 2 | (d < 0) << 1 | (g < 0)``, in the narrowest unsigned dtype
+that holds it (uint8 up to 64 pairs) and adds the ``bincount`` of each
+chunk of about 1M trials into one int64 table, so no int64 temporary
+spans the whole log.
 """
 
 from __future__ import annotations
@@ -35,20 +43,43 @@ def sample_outcomes(u, pair_index, cum):
     u = np.ascontiguousarray(u, dtype=np.float64)
     pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
     cum = np.ascontiguousarray(cum, dtype=np.float64)
-    c = (u[:, None] >= cum[pair_index]).sum(axis=1)
-    d = np.where(c < 2, 1, -1).astype(np.int8)
-    g = np.where(c % 2 == 0, 1, -1).astype(np.int8)
+    c = np.zeros(u.shape, dtype=np.uint8)
+    for column in cum.T:
+        c += u >= column[pair_index]
+    # d = +1 for c < 2 and g = +1 for even c, in int8 arithmetic
+    d = 1 - 2 * (c >= 2).view(np.int8)
+    g = 1 - 2 * (c & 1).view(np.int8)
     return d, g
 
 
+# trials per tally chunk: the chunk's code and bincount input stay small
+_COUNT_CHUNK = 1 << 20
+
+
 def count_outcomes(pair_index, d, g, n_pairs: int):
-    """Tally the four outcome combinations per settings pair."""
+    """Tally the four outcome combinations per settings pair.
+
+    A pair index outside ``range(n_pairs)`` raises ValueError.
+    """
     pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
     d = np.ascontiguousarray(d, dtype=np.int8)
     g = np.ascontiguousarray(g, dtype=np.int8)
-    cat = ((d < 0).astype(np.int64) << 1) | (g < 0).astype(np.int64)
-    code = pair_index * 4 + cat
-    return np.bincount(code, minlength=4 * n_pairs).reshape(n_pairs, 4)
+    n_codes = 4 * n_pairs
+    # uint8 up to 64 pairs, then the narrowest unsigned type that holds
+    # every code
+    code_dtype = np.min_scalar_type(max(n_codes - 1, 0))
+    counts = np.zeros(n_codes, dtype=np.int64)
+    for start in range(0, len(pair_index), _COUNT_CHUNK):
+        chunk = slice(start, start + _COUNT_CHUNK)
+        pairs = pair_index[chunk]
+        if not (pairs.min() >= 0 and pairs.max() < n_pairs):
+            raise ValueError(f"pair index outside range({n_pairs})")
+        code = pairs.astype(code_dtype)
+        code <<= 2
+        code |= (d[chunk] < 0).view(np.uint8) << 1
+        code |= (g[chunk] < 0).view(np.uint8)
+        counts += np.bincount(code, minlength=n_codes)
+    return counts.reshape(n_pairs, 4)
 
 
 def grid_max_abs_chsh(corr):

@@ -127,23 +127,63 @@ def _print_analysis(analysis, source: str) -> None:
     )
 
 
+# every possible trial CSV body row, indexed by the trial's row code
+# pair << 2 | minus_d << 1 | minus_g
+_TRIAL_ROWS = tuple(
+    f"{label},{d},{g}"
+    for label in PAIR_LABELS
+    for d in ("+1", "-1")
+    for g in ("+1", "-1")
+)
+_TRIAL_ROW_CODES = {row: code for code, row in enumerate(_TRIAL_ROWS)}
+
+
 def write_trials_csv(path: str, log: harness.TrialLog, angles_deg) -> None:
     delta, delta_prime, gamma, gamma_prime = angles_deg
+    pair_index = np.asarray(log.pair_index)
+    n_labels = len(PAIR_LABELS)
+    if len(pair_index) and not (
+        pair_index.min() >= -n_labels and pair_index.max() < n_labels
+    ):
+        raise IndexError(f"pair index outside the {n_labels} pair labels")
+    # a negative index names a label from the end, as a tuple index does;
+    # an outcome prints as +1 only when it is positive
+    code = (pair_index % n_labels) << 2
+    code |= ~(np.asarray(log.outcome_d) > 0) << 1
+    code |= ~(np.asarray(log.outcome_g) > 0)
     lines = [
         f"# angles_deg: delta={delta!r},delta_prime={delta_prime!r},"
         f"gamma={gamma!r},gamma_prime={gamma_prime!r}",
         TRIAL_CSV_COLUMNS,
+        *np.array(_TRIAL_ROWS, dtype=object)[code].tolist(),
     ]
-    labels = PAIR_LABELS
-    pair_index = log.pair_index
-    d = log.outcome_d
-    g = log.outcome_g
-    lines.extend(
-        f"{labels[pair_index[i]]},{'+1' if d[i] > 0 else '-1'},"
-        f"{'+1' if g[i] > 0 else '-1'}"
-        for i in range(len(log))
-    )
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _parse_trial_row(line: str, number: int):
+    """Row code of one trial CSV body line (None for a blank line), or a
+    UsageError citing its physical line number."""
+    if not line:
+        return None
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise UsageError(f"line {number}: expected 3 comma-separated fields")
+    label, d_text, g_text = parts
+    if label not in PAIR_LABELS:
+        raise UsageError(
+            f"line {number}: unknown pair label {label!r} "
+            f"(expected one of {', '.join(PAIR_LABELS)})"
+        )
+    code = PAIR_LABELS.index(label)
+    for text in (d_text, g_text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value not in (1, -1):
+            raise UsageError(f"line {number}: outcome must be +1 or -1")
+        code = code << 1 | (value < 0)
+    return code
 
 
 def read_trials_csv(path: str) -> harness.TrialLog:
@@ -173,47 +213,28 @@ def read_trials_csv(path: str) -> harness.TrialLog:
     if len(lines) < 2 or lines[1] != TRIAL_CSV_COLUMNS:
         raise UsageError(f"line 2: expected header {TRIAL_CSV_COLUMNS!r}")
 
-    label_index = {label: i for i, label in enumerate(PAIR_LABELS)}
-    pair_index = []
-    outcome_d = []
-    outcome_g = []
-    for offset, line in enumerate(lines[2:]):
-        number = offset + 3
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"line {number}: expected 3 comma-separated fields")
-        label, d_text, g_text = parts
-        if label not in label_index:
-            raise UsageError(
-                f"line {number}: unknown pair label {label!r} "
-                f"(expected one of {', '.join(PAIR_LABELS)})"
-            )
-        outcomes = []
-        for text in (d_text, g_text):
-            try:
-                value = int(text)
-            except ValueError:
-                value = 0
-            if value not in (1, -1):
-                raise UsageError(f"line {number}: outcome must be +1 or -1")
-            outcomes.append(value)
-        pair_index.append(label_index[label])
-        outcome_d.append(outcomes[0])
-        outcome_g.append(outcomes[1])
-    if not pair_index:
+    body = lines[2:]
+    codes = list(map(_TRIAL_ROW_CODES.get, body))
+    if None in codes:
+        # blank, lenient (" +1", "01") or malformed rows: the row parser
+        # accepts or rejects each one, in file order
+        codes = [
+            _parse_trial_row(line, offset + 3) if code is None else code
+            for offset, (line, code) in enumerate(zip(body, codes))
+        ]
+        codes = [code for code in codes if code is not None]
+    if not codes:
         raise UsageError("no trial rows found")
-
+    code = np.array(codes, dtype=np.uint8)
     rad = tuple(
         math.radians(a) for a in (delta, delta_prime, gamma, gamma_prime)
     )
     schedule = harness.chsh_schedule(*rad)
     return harness.TrialLog(
         pairs=schedule.pairs,
-        pair_index=np.asarray(pair_index, dtype=np.int64),
-        outcome_d=np.asarray(outcome_d, dtype=np.int8),
-        outcome_g=np.asarray(outcome_g, dtype=np.int8),
+        pair_index=(code >> 2).astype(np.int64),
+        outcome_d=np.where(code & 2, -1, 1).astype(np.int8),
+        outcome_g=np.where(code & 1, -1, 1).astype(np.int8),
         source_description=f"file:{path}",
     )
 

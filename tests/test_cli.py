@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from bellsim import harness
 from bellsim.cli import main, read_trials_csv, write_trials_csv
 
 CANONICAL = ["--angles", "0,-90,135,-135"]
@@ -163,6 +166,54 @@ class TestRoundTrip:
         assert parsed.pairs == log.pairs
 
 
+def trial_log(pair_index, d, g):
+    return harness.TrialLog(
+        pairs=harness.chsh_schedule(0.0, 0.0, 0.0, 0.0).pairs,
+        pair_index=np.asarray(pair_index, dtype=np.int64),
+        outcome_d=np.asarray(d, dtype=np.int8),
+        outcome_g=np.asarray(g, dtype=np.int8),
+        source_description="test",
+    )
+
+
+finite_angles = st.floats(-720.0, 720.0, allow_nan=False)
+
+
+class TestTrialCsvRoundTrip:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1]),
+                           st.sampled_from([1, -1])), min_size=1, max_size=300),
+        st.tuples(finite_angles, finite_angles, finite_angles, finite_angles),
+    )
+    def test_write_read_write_is_identity(self, tmp_path, rows, angles):
+        log = trial_log(*zip(*rows))
+        first = tmp_path / "first.csv"
+        second = tmp_path / "second.csv"
+        write_trials_csv(str(first), log, angles)
+        parsed = read_trials_csv(str(first))
+        for name in ("pair_index", "outcome_d", "outcome_g"):
+            got, want = getattr(parsed, name), getattr(log, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        write_trials_csv(str(second), parsed, angles)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_negative_pair_index_names_a_label_from_the_end(self, tmp_path):
+        path = tmp_path / "t.csv"
+        log = trial_log([-1, -4, 3], [1, -1, 1], [-1, 1, 1])
+        write_trials_csv(str(path), log, (0.0, 0.0, 0.0, 0.0))
+        rows = path.read_text().splitlines()[2:]
+        assert rows == ["d'g',+1,-1", "dg,-1,+1", "d'g',+1,+1"]
+
+    @pytest.mark.parametrize("bad", [4, 7, -5])
+    def test_pair_index_outside_the_labels_raises(self, tmp_path, bad):
+        log = trial_log([0, bad, 1], [1, 1, 1], [1, 1, 1])
+        with pytest.raises(IndexError):
+            write_trials_csv(str(tmp_path / "t.csv"), log, (0.0, 0.0, 0.0, 0.0))
+
+
 class TestAnalyzeValidation:
     HEADER = (
         "# angles_deg: delta=0.0,delta_prime=-90.0,gamma=135.0,gamma_prime=-135.0"
@@ -221,6 +272,59 @@ class TestAnalyzeValidation:
         code, _, _ = run(capsys, "analyze", path, "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["s_mean"] == 2.0
+
+    def test_first_of_two_bad_lines_is_reported(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path, ["dg,+1,-1", "dg',+1,-1", "dg,2,+1", "zz,+1,+1"]
+        )
+        code, _, stderr = run(capsys, "analyze", path)
+        assert code == 2
+        assert "line 5: outcome must be +1 or -1" in stderr
+        assert "line 6" not in stderr
+
+    ROWS = ["dg,+1,-1", "dg',-1,-1", "d'g,+1,+1", "d'g',-1,+1", "dg,-1,+1"]
+
+    def analysis(self, capsys, tmp_path, body, newline="\n"):
+        """stdout and report JSON of analyzing a file, less its file name."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(
+            newline.join([self.HEADER, self.COLUMNS, *body, ""]).encode()
+        )
+        out = tmp_path / "r.json"
+        code, stdout, stderr = run(capsys, "analyze", str(path), "--out", str(out))
+        assert (code, stderr) == (0, "")
+        report = json.loads(out.read_text())
+        report.pop("source")
+        return stdout.splitlines()[1:], report
+
+    def test_blank_body_line_is_skipped(self, tmp_path, capsys):
+        blank = [*self.ROWS[:2], "", *self.ROWS[2:], ""]
+        assert self.analysis(capsys, tmp_path, blank) == self.analysis(
+            capsys, tmp_path, self.ROWS
+        )
+
+    def test_crlf_file_reads_like_lf(self, tmp_path, capsys):
+        assert self.analysis(capsys, tmp_path, self.ROWS, "\r\n") == self.analysis(
+            capsys, tmp_path, self.ROWS
+        )
+
+    @pytest.mark.parametrize(
+        "lenient", ["dg, +1,-1", "dg,01,-1", "dg,+1,-01", "dg,1,-1"]
+    )
+    def test_lenient_integer_forms_are_accepted(self, tmp_path, capsys, lenient):
+        # the row parser reads outcomes with int(), so these parse as dg,+1,-1
+        loose = [lenient, *self.ROWS[1:]]
+        assert self.analysis(capsys, tmp_path, loose) == self.analysis(
+            capsys, tmp_path, self.ROWS
+        )
+
+    def test_empty_log_writes_only_the_headers(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        write_trials_csv(str(path), trial_log([], [], []), (0.0, -90.0, 135.0, -135.0))
+        assert path.read_bytes() == (self.HEADER + "\n" + self.COLUMNS + "\n").encode()
+        code, _, stderr = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "no trial rows found" in stderr
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "analyze", str(tmp_path / "absent.csv"))

@@ -50,6 +50,140 @@ def test_count_outcomes_matches_manual_tally():
         assert counts[p, 3] == np.sum(mask & (d == -1) & (g == -1))
 
 
+def oracle_sample_outcomes(u, pair_index, cum):
+    """The sampler as first written: an (m, 3) threshold gather per call."""
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
+    cum = np.ascontiguousarray(cum, dtype=np.float64)
+    c = (u[:, None] >= cum[pair_index]).sum(axis=1)
+    d = np.where(c < 2, 1, -1).astype(np.int8)
+    g = np.where(c % 2 == 0, 1, -1).astype(np.int8)
+    return d, g
+
+
+def oracle_count_outcomes(pair_index, d, g, n_pairs):
+    """The tally as first written: one int64 code over the whole log."""
+    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
+    d = np.ascontiguousarray(d, dtype=np.int8)
+    g = np.ascontiguousarray(g, dtype=np.int8)
+    cat = ((d < 0).astype(np.int64) << 1) | (g < 0).astype(np.int64)
+    code = pair_index * 4 + cat
+    return np.bincount(code, minlength=4 * n_pairs).reshape(n_pairs, 4)
+
+
+def assert_identical(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def cumulative(weights):
+    """Cumulative rows of normalised integer weights; a zero weight gives
+    two equal thresholds, so its outcome can never be drawn."""
+    p = np.array(weights, dtype=np.float64)
+    return np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)[:, :3]
+
+
+cum_rows = st.lists(
+    st.lists(st.integers(0, 8), min_size=4, max_size=4).filter(any),
+    min_size=1,
+    max_size=6,
+).map(cumulative)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cum_rows, st.data())
+def test_sample_outcomes_matches_oracle(cum, data):
+    k = len(cum)
+    n = data.draw(st.integers(0, 50))
+    # draws exactly on a threshold, at 0, and anywhere in [0, 1)
+    thresholds = sorted(set(cum.ravel().tolist()) | {0.0})
+    u = np.array(
+        data.draw(st.lists(
+            st.one_of(
+                st.sampled_from(thresholds), st.floats(0.0, 1.0, exclude_max=True)
+            ),
+            min_size=n, max_size=n,
+        )),
+        dtype=np.float64,
+    )
+    pair_index = np.array(
+        data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    assert_identical(
+        _kernels.sample_outcomes(u, pair_index, cum),
+        oracle_sample_outcomes(u, pair_index, cum),
+    )
+
+
+def test_sample_outcomes_block_matches_oracle():
+    u, pair_index, cum = random_inputs(5, n=1 << 16)
+    assert_identical(
+        _kernels.sample_outcomes(u, pair_index, cum),
+        oracle_sample_outcomes(u, pair_index, cum),
+    )
+
+
+def test_sample_outcomes_empty():
+    u, pair_index, cum = random_inputs(6, n=0)
+    d, g = _kernels.sample_outcomes(u, pair_index, cum)
+    assert d.shape == g.shape == (0,)
+    assert d.dtype == g.dtype == np.int8
+
+
+def random_log(seed, n, n_pairs):
+    """Pair indices in range and any int8 outcomes (the tally reads d < 0)."""
+    rng = np.random.default_rng(seed)
+    pair_index = rng.integers(0, n_pairs, size=n)
+    d = rng.integers(-128, 128, size=n, dtype=np.int8)
+    g = rng.integers(-128, 128, size=n, dtype=np.int8)
+    return pair_index, d, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 4, 64, 65, 300]),
+    st.integers(0, 3000),
+    st.integers(0, 2**32 - 1),
+)
+def test_count_outcomes_matches_oracle(n_pairs, n, seed):
+    pair_index, d, g = random_log(seed, n, n_pairs)
+    got = _kernels.count_outcomes(pair_index, d, g, n_pairs)
+    want = oracle_count_outcomes(pair_index, d, g, n_pairs)
+    assert_identical([got], [want])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("n_pairs", [4, 300])
+def test_count_outcomes_across_chunk_boundary(offset, n_pairs):
+    n = _kernels._COUNT_CHUNK + offset
+    pair_index, d, g = random_log(n + n_pairs, n, n_pairs)
+    # the last trial decides whether the final chunk is empty, full or one row
+    pair_index[-1] = n_pairs - 1
+    d[-1] = g[-1] = -1
+    got = _kernels.count_outcomes(pair_index, d, g, n_pairs)
+    assert_identical([got], [oracle_count_outcomes(pair_index, d, g, n_pairs)])
+    assert got.sum() == n
+
+
+def test_count_outcomes_empty():
+    empty = np.zeros(0, dtype=np.int64)
+    none = empty.astype(np.int8)
+    got = _kernels.count_outcomes(empty, none, none, 4)
+    assert_identical([got], [np.zeros((4, 4), dtype=np.int64)])
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 64, 256])
+def test_count_outcomes_rejects_out_of_range_pairs(bad):
+    pair_index, d, g = random_log(8, 100, 4)
+    pair_index[50] = bad
+    with pytest.raises(ValueError):
+        oracle_count_outcomes(pair_index, d, g, 4)
+    with pytest.raises(ValueError, match="pair index"):
+        _kernels.count_outcomes(pair_index, d, g, 4)
+
+
 def test_grid_max_against_brute_force():
     rng = np.random.default_rng(4)
     corr = rng.uniform(-1, 1, size=(7, 7))
