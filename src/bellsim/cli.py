@@ -261,12 +261,21 @@ def _analyze(log: harness.TrialLog, seed, out) -> int:
 
 
 def cmd_chsh_sim(args) -> int:
-    angles_deg = _parse_angles_deg(args.angles)
+    kind = None if args.state is None else qstate.StateKind(args.state)
+    if args.angles is not None:
+        angles_deg = _parse_angles_deg(args.angles)
+    else:
+        # the singlet's optimum, halved for photons, whose correlations have
+        # half the spin period: at the spin angles every photon E is 0
+        scale = 1.0 if kind is None else 0.5 / kind.particle.angle_scale
+        angles_deg = tuple(
+            scale * math.degrees(a) for a in harness.SINGLET_CHSH_ANGLES
+        )
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
     seed = _resolve_seed(args.seed)
-    if args.state is not None:
-        source = qstate.make_state(qstate.StateKind(args.state))
+    if kind is not None:
+        source = qstate.make_state(kind)
     else:
         source = _lhv_model(args.model)
     rad = tuple(math.radians(a) for a in angles_deg)
@@ -419,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", help="hidden-variable model source")
     p.add_argument(
         "--angles",
-        default="0,-90,135,-135",
-        help="delta,delta_prime,gamma,gamma_prime in degrees",
+        help="delta,delta_prime,gamma,gamma_prime in degrees "
+        "(default: 0,-90,135,-135; 0,-45,67.5,-67.5 for photon states)",
     )
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)

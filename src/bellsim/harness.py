@@ -151,9 +151,10 @@ def _generate_block(source, schedule, cum, child, start, stop):
         lam = np.asarray(source.sample(rng, m), dtype=np.float64)
         # a stable sort groups each pair's trials in trial order, so every
         # response sees the same lam values, in the same order, as a mask
-        # would select
-        order = np.argsort(idx, kind="stable")
-        lam = lam[order]
+        # would select; on the narrowest key dtype (8 or 16 bits for up to
+        # 65536 pairs) numpy sorts by radix, with the same permutation
+        order = np.argsort(idx.astype(np.min_scalar_type(k - 1)), kind="stable")
+        lam = np.take(lam, order)
         d = np.empty(m, dtype=np.int8)
         g = np.empty(m, dtype=np.int8)
         begin = 0

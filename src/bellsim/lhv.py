@@ -144,8 +144,46 @@ def estimate_correlation(
     return CorrelationEstimate(mean=mean, std_error=std_error, n_samples=n)
 
 
+# how far, in turns, the computed phase of _sign_of_cos must lie from a zero
+# of cos, and the |lam - angle| up to which its rounding stays far below that
+_SIGN_SLACK = 1e-9
+_SIGN_RANGE = 1e6
+
+
 def _sign_of_cos(lam: np.ndarray, angle: float) -> np.ndarray:
-    return np.where(np.cos(lam - angle) >= 0.0, 1, -1).astype(np.int8)
+    """+1 where cos(lam - angle) >= 0, else -1, as int8.
+
+    Bit for bit ``np.where(np.cos(lam - angle) >= 0.0, 1, -1).astype(np.int8)``,
+    with cos evaluated on few elements.  With x = lam - angle (as numpy
+    rounds it), cos x = sin(2*pi*f) for the phase f = frac((x + pi/2) / 2pi),
+    so cos x >= 0 exactly when f <= 1/2.  For |x| <= 1e6 the computed f is
+    within 1e-10 of the exact one, so an f farther than 1e-9 from 0, 1/2
+    and 1 decides the sign; there |cos x| > 6e-9, far beyond the error of
+    any libm cos.  The other elements (f near a zero of cos, |x| > 1e6,
+    inf, nan) take the cos expression itself.  The phase is worked out in
+    place in one float64 buffer, with an int32 one for its whole turns.
+    """
+    lam = np.asarray(lam)
+    f = np.ravel(lam - angle).astype(np.float64, copy=False)
+    unsure = ~((f >= -_SIGN_RANGE) & (f <= _SIGN_RANGE))
+    f += 0.5 * math.pi
+    f *= 1.0 / TWO_PI
+    turns = np.empty(f.shape, dtype=np.int32)
+    with np.errstate(invalid="ignore"):  # the unsure elements may not fit
+        np.floor(f, out=turns, casting="unsafe")
+    f -= turns
+    del turns
+    f -= 0.5  # f - 1/2 in [-1/2, 1/2]: the sign is +1 where it is <= 0
+    sign = (f > 0.0).view(np.int8)
+    sign *= -2
+    sign += 1
+    np.abs(f, out=f)
+    unsure |= f <= _SIGN_SLACK
+    unsure |= f >= 0.5 - _SIGN_SLACK
+    check = np.flatnonzero(unsure)
+    if check.size:
+        sign[check] = np.where(np.cos(lam.flat[check] - angle) >= 0.0, 1, -1)
+    return sign.reshape(lam.shape)
 
 
 def _uniform_pdf(lam: np.ndarray) -> np.ndarray:
@@ -207,7 +245,9 @@ def quantum_mimic_attempt() -> LhvModel:
     interpolation error is orders of magnitude below Monte Carlo
     resolution at any practical sample count.  A bucketed index
     (:class:`_BucketedInverseCdf`) reads the table in constant time per
-    draw and returns exactly what ``np.interp`` would.
+    draw and returns exactly what ``np.interp`` would.  The responses are
+    the sign model's (:func:`_sign_of_cos`), which calls cos only on the
+    few draws within 1e-9 of a turn of a response threshold.
     """
     lam_table = np.linspace(0.0, TWO_PI, 16385)
     inverse_cdf = _BucketedInverseCdf(_mimic_cdf(lam_table), lam_table)
@@ -253,10 +293,14 @@ class _BucketedInverseCdf:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         bucket = (u * (1 << self.BITS)).astype(np.intp)
-        j = self._first[bucket].astype(np.intp)
-        search = np.flatnonzero(self._spans_knot[bucket])
+        j = np.take(self._first, bucket).astype(np.intp)
+        search = np.flatnonzero(np.take(self._spans_knot, bucket))
+        del bucket
         j[search] = np.searchsorted(self._u, u[search], side="right") - 1
-        return self._slope[j] * (u - self._u[j]) + self._lam[j]
+        lam = np.subtract(u, np.take(self._u, j))
+        lam *= np.take(self._slope, j)
+        lam += np.take(self._lam, j)
+        return lam
 
 
 _BUILTIN_MODELS = {

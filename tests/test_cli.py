@@ -66,6 +66,38 @@ class TestChshSim:
         report = json.loads(out.read_text())
         assert abs(report["s_mean"]) <= 2.0 + 5 * report["s_std_error"]
 
+    @pytest.mark.parametrize(
+        "source,angles",
+        [
+            (["--state", "spin-correlated"], "delta=0.0,delta_prime=-90.0,"
+             "gamma=135.0,gamma_prime=-135.0"),
+            (["--state", "photon-correlated"], "delta=0.0,delta_prime=-45.0,"
+             "gamma=67.5,gamma_prime=-67.5"),
+            (["--state", "photon-anticorrelated"], "delta=0.0,delta_prime=-45.0,"
+             "gamma=67.5,gamma_prime=-67.5"),
+            (["--model", "sign_model"], "delta=0.0,delta_prime=-90.0,"
+             "gamma=135.0,gamma_prime=-135.0"),
+        ],
+    )
+    def test_default_angles_follow_the_particle(
+        self, tmp_path, capsys, source, angles
+    ):
+        # photon correlations have half the spin period: at the spin
+        # optimum every photon E would be 0
+        trials = tmp_path / "trials.csv"
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "chsh-sim", *source, "--trials", "20000", "--seed", "3",
+            "--emit-trials", str(trials), "--out", str(out),
+        )
+        assert code == 0
+        assert trials.read_text().splitlines()[0] == f"# angles_deg: {angles}"
+        s = abs(json.loads(out.read_text())["s_mean"])
+        if source[0] == "--state":
+            assert abs(s - 2 * math.sqrt(2)) < 0.1
+        else:
+            assert s < 2.1
+
     def test_zero_trials_rejected(self, capsys):
         code, _, stderr = run(
             capsys, "chsh-sim", "--state", "spin-correlated", "--trials", "0"

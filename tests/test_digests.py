@@ -1,11 +1,19 @@
-"""Pinned SHA-256 digests of emitted trial files and counts tables.
+"""Pinned SHA-256 digests of emitted trial files, counts tables and reports.
 
-A change to the random stream, the Born sampler, the tally or the trial
-CSV writer changes these digests, even when every statistical test still
-passes.  200000 trials are four blocks of ``harness.BLOCK_SIZE``, the last
-one partial.  At the default (spin-optimal) angles every photon E is 0,
-so both photon states draw from the same uniform joint distribution and
-share their digests.
+A change to the random stream, the Born sampler, the LHV sampler or
+responses, the tally or the trial CSV writer changes these digests, even
+when every statistical test still passes.  200000 trials are four blocks
+of ``harness.BLOCK_SIZE``, the last one partial.
+
+Each state runs at its default angles: the spin optimum, halved for
+photons.  A photon state there has the joint distributions of the spin
+state of the same sign, so the two share a counts digest; their trial
+files differ in the angles header.  The LHV models run at the spin
+optimum, whose response thresholds lie on multiples of 45 degrees, where
+the mimic model's CDF takes the uniform one's values (k/8); the mimic and
+sign models therefore give the same outcomes from the same uniform
+draws, and the mimic sampler is pinned by the lhv-sim report at 22.5
+degrees.
 """
 
 import contextlib
@@ -30,24 +38,48 @@ PINNED = [
      "f4c8f639b0c37f9801b23efd7e8aa939b76bcd315f90ef34af168215e2f94dee",
      "0ab5fc8ccca3d3ed5bff914a496c7649816e6d10bda60ff1176f41f2b95a95c5"),
     ("photon-correlated", "uniform",
-     "80fdd5e65dc29b7cbeacb4117230d962ed91a8885d61ef27a392d015add7ab8f",
-     "057a0fa10915aca2b178d088855db96972bfda8a205f7727de89d4b302279115"),
+     "66085476a244866e3f8ca6ad5e0cbcc4dbb22eebcd196baeae47e3af1b3a5268",
+     "2b4b71870bff30b97198578f3e021c530dc37566983079745f21685700691742"),
     ("photon-correlated", "round-robin",
-     "079a8c012e97011871afb904f79453fbfda10997ab26bec2eb5d5600ac84f091",
-     "da7063b45e8d5896923e4446cccaae7dbfe8e117988b858f1f7b46bd0fe74173"),
+     "51251e717e7629c50dadd814a0574aed3d0085962f941eea80d1ff8661e0a825",
+     "0ab5fc8ccca3d3ed5bff914a496c7649816e6d10bda60ff1176f41f2b95a95c5"),
     ("photon-anticorrelated", "uniform",
-     "80fdd5e65dc29b7cbeacb4117230d962ed91a8885d61ef27a392d015add7ab8f",
-     "057a0fa10915aca2b178d088855db96972bfda8a205f7727de89d4b302279115"),
+     "b1ac10b57f88a05fc35d11dffc6767e1809bf8fd8234cd252b296b5a3cfc1f19",
+     "83b9f7238cf4eaaa4c1e9e7d1f51c40510cdf7720e118385d97692dca12ebfbb"),
     ("photon-anticorrelated", "round-robin",
-     "079a8c012e97011871afb904f79453fbfda10997ab26bec2eb5d5600ac84f091",
-     "da7063b45e8d5896923e4446cccaae7dbfe8e117988b858f1f7b46bd0fe74173"),
+     "a8d0e65ca8c0cc2df0548b73ad2567b1e93f56d300402d07a53486cb666aeb3d",
+     "9bbdcb6f81cc598c723773974e8907291e740b9cbb869feb33313cb1d7b3f9aa"),
 ]
 
 
-@pytest.mark.parametrize("state,schedule,csv_sha256,counts_sha256", PINNED)
-def test_emitted_trials_and_counts_are_pinned(
-    tmp_path, monkeypatch, state, schedule, csv_sha256, counts_sha256
-):
+LHV_PINNED = [
+    ("sign_model", "uniform",
+     "80a27f7c7ac700a350f63830d340e53bf3e0e5e356d911cefce2fbec4af78215",
+     "d8b638b419c0b99dda93affaf2eaced1379a14f772cacb0e9b1c1cf0b546efe4"),
+    ("sign_model", "round-robin",
+     "65cefc5539df02b0fbbaee694dfa73443e21d94f07f31bb6daf84d937d12e3f7",
+     "53fbc22323c8e3555def63f1270cf6cd89c7f89309186b2772e2d03a462b48f4"),
+    ("constant_model", "uniform",
+     "6ce70d8be899701a363fa8c39110e64db8670a1062b9ef3240bc832f3daf5b81",
+     "e29cfa554ace51f89c00b8fd4e0cd165137c842f7367a7ef3c105f3fe1bb68b6"),
+    ("constant_model", "round-robin",
+     "3ee4fbe7ab8925c04b4efe7fc1b8c47b46c57840ea71df1c06508756e2d3731a",
+     "87bc77b6c64950eb2614f9f824ca89bef58f9f35bd0d8f25d321b7171e35406a"),
+    ("quantum_mimic_attempt", "uniform",
+     "80a27f7c7ac700a350f63830d340e53bf3e0e5e356d911cefce2fbec4af78215",
+     "d8b638b419c0b99dda93affaf2eaced1379a14f772cacb0e9b1c1cf0b546efe4"),
+    ("quantum_mimic_attempt", "round-robin",
+     "65cefc5539df02b0fbbaee694dfa73443e21d94f07f31bb6daf84d937d12e3f7",
+     "53fbc22323c8e3555def63f1270cf6cd89c7f89309186b2772e2d03a462b48f4"),
+]
+
+LHV_SIM_REPORT_SHA256 = (
+    "b91126198d37968c1181346e8a3ad23116d1bccbc25a8bddf49a7a79cff23a9e"
+)
+
+
+def _chsh_sim_digests(tmp_path, monkeypatch, source_args, schedule):
+    """SHA-256 of the emitted trial CSV and of the tabulated counts."""
     tables = []
     tabulate = harness.tabulate
 
@@ -60,11 +92,40 @@ def test_emitted_trials_and_counts_are_pinned(
     path = tmp_path / "trials.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([
-            "chsh-sim", "--state", state, "--schedule", schedule,
+            "chsh-sim", *source_args, "--schedule", schedule,
             "--trials", "200000", "--seed", "7", "--emit-trials", str(path),
         ])
     assert code == 0
     assert len(tables) == 1
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha256
     counts = tables[0].astype("<i8").tobytes()
-    assert hashlib.sha256(counts).hexdigest() == counts_sha256
+    return (
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+        hashlib.sha256(counts).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("state,schedule,csv_sha256,counts_sha256", PINNED)
+def test_emitted_trials_and_counts_are_pinned(
+    tmp_path, monkeypatch, state, schedule, csv_sha256, counts_sha256
+):
+    digests = _chsh_sim_digests(tmp_path, monkeypatch, ["--state", state], schedule)
+    assert digests == (csv_sha256, counts_sha256)
+
+
+@pytest.mark.parametrize("model,schedule,csv_sha256,counts_sha256", LHV_PINNED)
+def test_lhv_trials_and_counts_are_pinned(
+    tmp_path, monkeypatch, model, schedule, csv_sha256, counts_sha256
+):
+    digests = _chsh_sim_digests(tmp_path, monkeypatch, ["--model", model], schedule)
+    assert digests == (csv_sha256, counts_sha256)
+
+
+def test_lhv_sim_report_is_pinned(tmp_path):
+    path = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([
+            "lhv-sim", "--model", "quantum_mimic_attempt", "--gamma", "22.5",
+            "--trials", "100000", "--seed", "7", "--out", str(path),
+        ])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LHV_SIM_REPORT_SHA256

@@ -107,45 +107,57 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("policy", list(SettingsPolicy))
     def test_lhv_block_matches_per_pair_masks(self, policy):
-        # reference: select each pair's trials with a boolean mask; each
-        # response call must see exactly the lam values, in trial order,
-        # that the mask selects
-        model = quantum_mimic_attempt()
-        seen = []
-
-        def recording(response):
-            def respond(lam, angle):
-                seen.append(lam.copy())
-                return response(lam, angle)
-
-            return respond
-
-        source = SimpleNamespace(
-            sample=model.sample,
-            response_d=recording(model.response_d),
-            response_g=recording(model.response_g),
-        )
         pairs = ((0.0, 0.4), (1.0, 0.4), (0.0, 0.4), (2.5, -1.0), (0.3, 0.3))
-        schedule = SettingsSchedule(pairs=pairs, policy=policy)
-        child = np.random.SeedSequence(17)
-        idx, d, g = harness._generate_block(source, schedule, None, child, 3, 70_003)
-        # the same substream, drawn in the block's order: pairs, then lam
-        rng = np.random.default_rng(np.random.SeedSequence(17))
-        if policy is SettingsPolicy.UNIFORM_RANDOM:
-            assert np.array_equal(idx, rng.integers(0, len(pairs), size=70_000))
-        lam = model.sample(rng, 70_000)
-        expected_d = np.empty(70_000, dtype=np.int8)
-        expected_g = np.empty(70_000, dtype=np.int8)
-        expected_seen = []
-        for p, (delta, gamma) in enumerate(pairs):
-            mask = idx == p
-            expected_d[mask] = model.response_d(lam[mask], delta)
-            expected_g[mask] = model.response_g(lam[mask], gamma)
-            expected_seen += [lam[mask], lam[mask]]
-        assert np.array_equal(d, expected_d)
-        assert np.array_equal(g, expected_g)
-        assert len(seen) == len(expected_seen)
-        assert all(np.array_equal(a, b) for a, b in zip(seen, expected_seen))
+        assert_lhv_block_matches_per_pair_masks(pairs, policy)
+
+    @pytest.mark.parametrize("policy", list(SettingsPolicy))
+    def test_lhv_block_with_wide_keys_matches_per_pair_masks(self, policy):
+        # 300 pairs: the block groups its trials on 16-bit keys, not 8-bit
+        pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(300))
+        assert_lhv_block_matches_per_pair_masks(pairs, policy)
+
+
+def assert_lhv_block_matches_per_pair_masks(pairs, policy):
+    # reference: select each pair's trials with a boolean mask; each
+    # response call must see exactly the lam values, in trial order,
+    # that the mask selects
+    model = quantum_mimic_attempt()
+    seen = []
+
+    def recording(response):
+        def respond(lam, angle):
+            seen.append(lam.copy())
+            return response(lam, angle)
+
+        return respond
+
+    source = SimpleNamespace(
+        sample=model.sample,
+        response_d=recording(model.response_d),
+        response_g=recording(model.response_g),
+    )
+    schedule = SettingsSchedule(pairs=pairs, policy=policy)
+    child = np.random.SeedSequence(17)
+    idx, d, g = harness._generate_block(source, schedule, None, child, 3, 70_003)
+    # the same substream, drawn in the block's order: pairs, then lam
+    rng = np.random.default_rng(np.random.SeedSequence(17))
+    if policy is SettingsPolicy.UNIFORM_RANDOM:
+        assert np.array_equal(idx, rng.integers(0, len(pairs), size=70_000))
+    lam = model.sample(rng, 70_000)
+    expected_d = np.empty(70_000, dtype=np.int8)
+    expected_g = np.empty(70_000, dtype=np.int8)
+    expected_seen = []
+    for p, (delta, gamma) in enumerate(pairs):
+        mask = idx == p
+        if not mask.any():
+            continue
+        expected_d[mask] = model.response_d(lam[mask], delta)
+        expected_g[mask] = model.response_g(lam[mask], gamma)
+        expected_seen += [lam[mask], lam[mask]]
+    assert np.array_equal(d, expected_d)
+    assert np.array_equal(g, expected_g)
+    assert len(seen) == len(expected_seen)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, expected_seen))
 
 
 class TestTabulate:

@@ -187,6 +187,85 @@ class TestBucketedInverseCdf:
         assert np.array_equal(lam, np.interp(u, self.U, self.LAM))
 
 
+def sign_of_cos_oracle(lam, angle):
+    """The cos expression that ``lhv._sign_of_cos`` must reproduce."""
+    return np.where(np.cos(lam - angle) >= 0.0, 1, -1).astype(np.int8)
+
+
+# the analyzer angles of the benchmark's LHV runs: the default CHSH angles
+# and the lhv-sim gamma of 22.5 degrees
+SIGN_ANGLES = [math.radians(a) for a in (0.0, -90.0, 135.0, -135.0, 22.5)]
+
+
+class TestSignOfCos:
+    def assert_matches_oracle(self, lam, angle):
+        with np.errstate(invalid="ignore"):  # cos(inf) is nan
+            sign = lhv._sign_of_cos(lam, angle)
+            expected = sign_of_cos_oracle(lam, angle)
+        assert sign.dtype == np.int8
+        assert sign.shape == expected.shape
+        assert np.array_equal(sign, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(0, 300),
+            elements=st.one_of(st.floats(-50.0, 50.0), st.floats(width=64)),
+        ),
+        st.floats(-10.0, 10.0),
+    )
+    def test_random_inputs_match_cos(self, lam, angle):
+        self.assert_matches_oracle(lam, angle)
+
+    def test_many_uniform_draws_match_cos(self):
+        lam = np.random.default_rng(21).uniform(-20.0, 20.0, 1_000_000)
+        for angle in SIGN_ANGLES:
+            self.assert_matches_oracle(lam, angle)
+
+    @pytest.mark.parametrize("angle", SIGN_ANGLES)
+    def test_neighbours_of_every_sign_change_match_cos(self, angle):
+        # the lam nearest each zero of cos(lam - angle), 60 floats either
+        # side of it, and the points either side of the 1e-9-turn slack
+        # around the zero, where the phase alone decides the sign
+        zeros = np.array(
+            [s * math.pi / 2 + angle + TWO_PI * k for s in (-1, 1) for k in range(-3, 4)]
+        )
+        steps = np.arange(-60, 61)
+        ulps = np.spacing(np.abs(zeros))[:, None] * steps
+        edges = TWO_PI * lhv._SIGN_SLACK * np.linspace(0.8, 1.2, 41)
+        lam = np.concatenate([
+            (zeros[:, None] + ulps).ravel(),
+            (zeros[:, None] + edges).ravel(),
+            (zeros[:, None] - edges).ravel(),
+        ])
+        self.assert_matches_oracle(lam, angle)
+
+    def test_far_and_non_finite_inputs_match_cos(self):
+        far = np.array([1e6, 1e6 + 1.0, 3.7e6, 1e15, 2.0**60, 1e300])
+        lam = np.concatenate([far, -far, [np.inf, -np.inf, np.nan, 0.1, -2.0]])
+        for angle in SIGN_ANGLES:
+            self.assert_matches_oracle(lam, angle)
+
+    def test_empty_scalar_and_2d_inputs_match_cos(self):
+        grid = np.random.default_rng(5).uniform(-7.0, 7.0, (40, 30))
+        for lam in (np.empty(0), np.empty((0, 3)), np.float64(0.4), grid, grid.T):
+            self.assert_matches_oracle(lam, 0.9)
+
+    def test_cos_is_evaluated_on_few_elements(self, monkeypatch):
+        evaluated = []
+        cos = np.cos
+
+        def counting_cos(x, *args, **kwargs):
+            evaluated.append(np.size(x))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(lhv.np, "cos", counting_cos)
+        lam = np.random.default_rng(6).uniform(0.0, TWO_PI, 100_000)
+        lhv._sign_of_cos(lam, 0.3)
+        assert sum(evaluated) < 10
+
+
 class TestQuadrature:
     def test_sign_model_key_angles(self):
         model = sign_model()
