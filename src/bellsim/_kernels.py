@@ -3,13 +3,11 @@
 Outcome sampling, coincidence tabulation and the 4-angle grid search.
 ``bench/run.py`` times each of them as its own layer.
 
-The sampler compares the uniform draws with one threshold column at a
-time (three 1-D compares summed as uint8) instead of gathering an
-(m, 3) threshold array.  The tally builds a small per-trial code,
-``pair << 2 | (d < 0) << 1 | (g < 0)``, in the narrowest unsigned dtype
-that holds it (uint8 up to 64 pairs) and adds the ``bincount`` of each
-chunk of about 1M trials into one int64 table, so no int64 temporary
-spans the whole log.
+A trial has one row code, ``pair << 2 | (d < 0) << 1 | (g < 0)``
+(:func:`trial_codes`, read back by :func:`trial_outcomes`).  The sampler
+sums three 1-D threshold compares as uint8 into the code's low two bits;
+the tally adds the ``bincount`` of the codes of each chunk of about 1M
+trials into one int64 table, so no int64 temporary spans the whole log.
 """
 
 from __future__ import annotations
@@ -18,6 +16,8 @@ import numpy as np
 
 __all__ = [
     "backend",
+    "trial_codes",
+    "trial_outcomes",
     "sample_outcomes",
     "count_outcomes",
     "grid_max_abs_chsh",
@@ -29,16 +29,35 @@ def backend() -> str:
     return "numpy"
 
 
-# category c in 0..3 maps to (d, g): 0 (+,+), 1 (+,-), 2 (-,+), 3 (-,-).
-# c counts how many of the three cumulative thresholds of the trial's
-# settings pair lie at or below the uniform draw u.
+def trial_codes(pair_index, d, g, n_pairs: int):
+    """Row code ``pair << 2 | (d < 0) << 1 | (g < 0)`` of each trial.
+
+    The codes have dtype ``np.min_scalar_type(4 * n_pairs - 1)``.  A pair
+    index outside ``range(n_pairs)`` raises ValueError.
+    """
+    pair_index = np.asarray(pair_index)
+    if pair_index.size and not (pair_index.min() >= 0 and pair_index.max() < n_pairs):
+        raise ValueError(f"pair index outside range({n_pairs})")
+    code = pair_index.astype(np.min_scalar_type(max(4 * n_pairs - 1, 0)))
+    code <<= 2
+    code |= (np.asarray(d) < 0).view(np.uint8) << 1
+    code |= (np.asarray(g) < 0).view(np.uint8)
+    return code
+
+
+def trial_outcomes(code):
+    """The int8 outcome pair ``(1 - (code & 2), 1 - 2 * (code & 1))``."""
+    # the cast to int8 wraps wide codes but keeps their low two bits
+    low = np.asarray(code).astype(np.int8)
+    return 1 - (low & 2), 1 - 2 * (low & 1)
 
 
 def sample_outcomes(u, pair_index, cum):
     """Map uniform draws to +-1 outcome pairs via per-pair cumulative probs.
 
     ``cum`` has one row per settings pair holding the cumulative sums
-    (p_pp, p_pp+p_pm, p_pp+p_pm+p_mp).
+    (p_pp, p_pp+p_pm, p_pp+p_pm+p_mp); the number of them at or below a
+    draw is the low two bits of the trial's row code.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
@@ -46,10 +65,7 @@ def sample_outcomes(u, pair_index, cum):
     c = np.zeros(u.shape, dtype=np.uint8)
     for column in cum.T:
         c += u >= column[pair_index]
-    # d = +1 for c < 2 and g = +1 for even c, in int8 arithmetic
-    d = 1 - 2 * (c >= 2).view(np.int8)
-    g = 1 - 2 * (c & 1).view(np.int8)
-    return d, g
+    return trial_outcomes(c)
 
 
 # trials per tally chunk: the chunk's code and bincount input stay small
@@ -64,21 +80,11 @@ def count_outcomes(pair_index, d, g, n_pairs: int):
     pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
     d = np.ascontiguousarray(d, dtype=np.int8)
     g = np.ascontiguousarray(g, dtype=np.int8)
-    n_codes = 4 * n_pairs
-    # uint8 up to 64 pairs, then the narrowest unsigned type that holds
-    # every code
-    code_dtype = np.min_scalar_type(max(n_codes - 1, 0))
-    counts = np.zeros(n_codes, dtype=np.int64)
+    counts = np.zeros(4 * n_pairs, dtype=np.int64)
     for start in range(0, len(pair_index), _COUNT_CHUNK):
         chunk = slice(start, start + _COUNT_CHUNK)
-        pairs = pair_index[chunk]
-        if not (pairs.min() >= 0 and pairs.max() < n_pairs):
-            raise ValueError(f"pair index outside range({n_pairs})")
-        code = pairs.astype(code_dtype)
-        code <<= 2
-        code |= (d[chunk] < 0).view(np.uint8) << 1
-        code |= (g[chunk] < 0).view(np.uint8)
-        counts += np.bincount(code, minlength=n_codes)
+        code = trial_codes(pair_index[chunk], d[chunk], g[chunk], n_pairs)
+        counts += np.bincount(code, minlength=len(counts))
     return counts.reshape(n_pairs, 4)
 
 

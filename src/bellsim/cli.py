@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from . import harness, inequalities, lhv, qstate
+from . import _kernels, harness, inequalities, lhv, qstate
 from .harness import PAIR_LABELS, SettingsPolicy
 
 __all__ = ["main", "entry_point"]
@@ -128,7 +128,7 @@ def _print_analysis(analysis, source: str) -> None:
 
 
 # every possible trial CSV body row, indexed by the trial's row code
-# pair << 2 | minus_d << 1 | minus_g
+# (see _kernels.trial_codes)
 _TRIAL_ROWS = tuple(
     f"{label},{d},{g}"
     for label in PAIR_LABELS
@@ -139,18 +139,13 @@ _TRIAL_ROW_CODES = {row: code for code, row in enumerate(_TRIAL_ROWS)}
 
 
 def write_trials_csv(path: str, log: harness.TrialLog, angles_deg) -> None:
+    """Write a log as a trial CSV; a pair index outside the four pair
+    labels raises ValueError, and an outcome is written -1 exactly when
+    it is negative, as the tally reads it."""
     delta, delta_prime, gamma, gamma_prime = angles_deg
-    pair_index = np.asarray(log.pair_index)
-    n_labels = len(PAIR_LABELS)
-    if len(pair_index) and not (
-        pair_index.min() >= -n_labels and pair_index.max() < n_labels
-    ):
-        raise IndexError(f"pair index outside the {n_labels} pair labels")
-    # a negative index names a label from the end, as a tuple index does;
-    # an outcome prints as +1 only when it is positive
-    code = (pair_index % n_labels) << 2
-    code |= ~(np.asarray(log.outcome_d) > 0) << 1
-    code |= ~(np.asarray(log.outcome_g) > 0)
+    code = _kernels.trial_codes(
+        log.pair_index, log.outcome_d, log.outcome_g, len(PAIR_LABELS)
+    )
     lines = [
         f"# angles_deg: delta={delta!r},delta_prime={delta_prime!r},"
         f"gamma={gamma!r},gamma_prime={gamma_prime!r}",
@@ -174,16 +169,13 @@ def _parse_trial_row(line: str, number: int):
             f"line {number}: unknown pair label {label!r} "
             f"(expected one of {', '.join(PAIR_LABELS)})"
         )
-    code = PAIR_LABELS.index(label)
-    for text in (d_text, g_text):
-        try:
-            value = int(text)
-        except ValueError:
-            value = 0
-        if value not in (1, -1):
-            raise UsageError(f"line {number}: outcome must be +1 or -1")
-        code = code << 1 | (value < 0)
-    return code
+    try:
+        row = f"{label},{int(d_text):+d},{int(g_text):+d}"
+    except ValueError:
+        row = None
+    if row not in _TRIAL_ROW_CODES:
+        raise UsageError(f"line {number}: outcome must be +1 or -1")
+    return _TRIAL_ROW_CODES[row]
 
 
 def read_trials_csv(path: str) -> harness.TrialLog:
@@ -226,6 +218,7 @@ def read_trials_csv(path: str) -> harness.TrialLog:
     if not codes:
         raise UsageError("no trial rows found")
     code = np.array(codes, dtype=np.uint8)
+    outcome_d, outcome_g = _kernels.trial_outcomes(code)
     rad = tuple(
         math.radians(a) for a in (delta, delta_prime, gamma, gamma_prime)
     )
@@ -233,8 +226,8 @@ def read_trials_csv(path: str) -> harness.TrialLog:
     return harness.TrialLog(
         pairs=schedule.pairs,
         pair_index=(code >> 2).astype(np.int64),
-        outcome_d=np.where(code & 2, -1, 1).astype(np.int8),
-        outcome_g=np.where(code & 1, -1, 1).astype(np.int8),
+        outcome_d=outcome_d,
+        outcome_g=outcome_g,
         source_description=f"file:{path}",
     )
 
@@ -245,11 +238,11 @@ def _analyze(log: harness.TrialLog, seed, out) -> int:
     A settings pair without trials (too few --trials, or a trial CSV that
     lacks the pair) is a usage error.
     """
-    counts = harness.tabulate(log)
-    for label, n in zip(PAIR_LABELS, counts.counts.sum(axis=1)):
+    source = harness.tabulate(log)
+    for label, n in zip(PAIR_LABELS, source.counts.sum(axis=1)):
         if n == 0:
             raise UsageError(f"no trials recorded for settings pair {label!r}")
-    analysis = harness.analyze_chsh(counts)
+    analysis = harness.analyze_chsh(source)
     if out:
         report = _report_dict(analysis, seed, log.source_description)
         _write_text(out, json.dumps(report, indent=2) + "\n")
@@ -387,11 +380,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_maximize(args) -> int:
     kind = qstate.StateKind(args.state)
-    if not 0.0 < args.coarse_step <= 15.0:
-        raise UsageError("coarse-step must be in (0, 15] degrees")
-    angles, s_star = harness.maximize_chsh(
-        kind, coarse_step_deg=args.coarse_step, refine_iters=args.refine_iters
-    )
+    if not 0.5 <= args.coarse_step <= 15.0:
+        raise UsageError("coarse-step must be in [0.5, 15] degrees")
+    angles, s_star = harness.maximize_chsh(kind, coarse_step_deg=args.coarse_step)
     angles_deg = [math.degrees(a) for a in angles]
     labels = ("delta", "delta_prime", "gamma", "gamma_prime")
     for label, value in zip(labels, angles_deg):
@@ -476,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maximize", help="search angles for the largest |S|")
     p.add_argument("--state", choices=state_names, default="spin-anticorrelated")
-    p.add_argument("--coarse-step", type=float, default=15.0, help="degrees")
-    p.add_argument("--refine-iters", type=int, default=200)
+    p.add_argument("--coarse-step", type=float, default=15.0, help="degrees, 0.5 to 15")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_maximize)
 

@@ -46,7 +46,6 @@ __all__ = [
     "chsh_schedule",
     "TrialLog",
     "run_trials",
-    "CountsTable",
     "tabulate",
     "PairEstimate",
     "ChshAnalysis",
@@ -210,26 +209,12 @@ def run_trials(
     )
 
 
-@dataclass(frozen=True)
-class CountsTable:
-    """Coincidence counts (n_pp, n_pm, n_mp, n_mm) per settings pair."""
-
-    pairs: tuple[tuple[float, float], ...]
-    counts: np.ndarray
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def to_source(self) -> EmpiricalSource:
-        return EmpiricalSource(self.pairs, self.counts)
-
-
-def tabulate(log: TrialLog) -> CountsTable:
-    """Exact per-pair outcome tallies of a trial log."""
+def tabulate(log: TrialLog) -> EmpiricalSource:
+    """Exact per-pair outcome tallies of a trial log, row i for pair i."""
     counts = _kernels.count_outcomes(
         log.pair_index, log.outcome_d, log.outcome_g, len(log.pairs)
     )
-    return CountsTable(pairs=log.pairs, counts=counts)
+    return EmpiricalSource(log.pairs, counts)
 
 
 @dataclass(frozen=True)
@@ -249,10 +234,10 @@ class ChshAnalysis:
     violated_5sigma: bool
 
 
-def analyze_chsh(counts: CountsTable) -> ChshAnalysis:
+def analyze_chsh(source: EmpiricalSource) -> ChshAnalysis:
     """Correlations and S = E(dg) + E(dg') + E(d'g) - E(d'g') with errors.
 
-    Row i of the counts table holds role PAIR_LABELS[i].  Per-pair
+    Row i of ``source.counts`` holds role PAIR_LABELS[i].  Per-pair
     variance is the binomial (1 - E^2)/n; the variance of S is their
     sum.  A role whose row has zero trials is an error: an S assembled
     from missing pairs would be meaningless.
@@ -260,7 +245,7 @@ def analyze_chsh(counts: CountsTable) -> ChshAnalysis:
     per_pair = []
     variance = 0.0
     for i, label in enumerate(PAIR_LABELS):
-        row = counts.counts[i]
+        row = source.counts[i]
         total = int(row.sum())
         if total == 0:
             raise ValueError(f"no trials recorded for settings pair {label!r}")
@@ -281,19 +266,24 @@ def analyze_chsh(counts: CountsTable) -> ChshAnalysis:
     )
 
 
+# a cap on maximize_chsh's descent sweeps; its 1e-9 rad step floor ends it sooner
+_REFINE_ITERS = 200
+
+
 def maximize_chsh(
-    kind: StateKind, coarse_step_deg: float = 15.0, refine_iters: int = 200
+    kind: StateKind, coarse_step_deg: float = 15.0
 ) -> tuple[tuple[float, float, float, float], float]:
     """Locate analyzer angles maximizing |S| for a state's closed form.
 
-    Coarse grid search over all four angles (step at most 15 degrees)
-    followed by coordinate descent with step halving down to 1e-9 rad.
+    Coarse grid search over all four angles (step 0.5 to 15 degrees; the
+    search holds eight m x m float64 arrays for m = 360/step) followed
+    by coordinate descent with step halving down to 1e-9 rad.
     Returns ((delta, delta', gamma, gamma'), s_star); the angles are
     normalized so S is positive, and for the spin states s_star is
     2*sqrt(2) to well within 1e-6.
     """
-    if not 0.0 < coarse_step_deg <= 15.0:
-        raise ValueError("coarse_step_deg must be in (0, 15]")
+    if not 0.5 <= coarse_step_deg <= 15.0:
+        raise ValueError("coarse_step_deg must be in [0.5, 15]")
     step = math.radians(coarse_step_deg)
     grid = np.arange(0.0, 2.0 * math.pi - 1e-12, step)
     corr = closed_form_correlation(kind, grid[:, None], grid[None, :])
@@ -302,7 +292,7 @@ def maximize_chsh(
 
     source = QuantumClosedFormSource(kind)
     best = abs(chsh_s(source, *angles))
-    for _ in range(refine_iters):
+    for _ in range(_REFINE_ITERS):
         improved = False
         for i in range(4):
             for move in (step, -step):

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lhv import LhvModel, _midpoints, quadrature_correlation
+from .lhv import LhvModel, _quadrature_nodes, quadrature_correlation
 from .qstate import (
     CorrelationSign,
     EntangledState,
@@ -175,7 +175,7 @@ class LhvSource(CorrelationSource):
         return quadrature_correlation(self.model, delta, gamma, self.nodes)
 
     def joints(self, delta: float, gamma: float) -> np.ndarray:
-        lam, weight = _midpoints(self.model.support, self.nodes)
+        lam, weight = _quadrature_nodes(self.model, self.nodes)
         rho = self.model.pdf(lam) * weight
         d = self.model.response_d(lam, delta)
         g = self.model.response_g(lam, gamma)

@@ -112,10 +112,8 @@ def _midpoints(support: tuple[float, float], nodes: int) -> tuple[np.ndarray, fl
     return lo + (np.arange(nodes) + 0.5) * h, h
 
 
-def quadrature_correlation(
-    model: LhvModel, delta: float, gamma: float, nodes: int = 4096
-) -> float:
-    """Midpoint-rule integral of pdf(lam) * d(lam, delta) * g(lam, gamma)."""
+def _quadrature_nodes(model: LhvModel, nodes: int) -> tuple[np.ndarray, float]:
+    """Midpoint nodes and weight over the support; checks both limits."""
     if nodes < 1000:
         raise ValueError("nodes must be >= 1000")
     if model.support is None:
@@ -123,7 +121,14 @@ def quadrature_correlation(
             f"model {model.name!r} has unbounded support; "
             "quadrature unavailable, use estimate_correlation"
         )
-    lam, weight = _midpoints(model.support, nodes)
+    return _midpoints(model.support, nodes)
+
+
+def quadrature_correlation(
+    model: LhvModel, delta: float, gamma: float, nodes: int = 4096
+) -> float:
+    """Midpoint-rule integral of pdf(lam) * d(lam, delta) * g(lam, gamma)."""
+    lam, weight = _quadrature_nodes(model, nodes)
     products = model.response_d(lam, delta) * model.response_g(lam, gamma)
     return float(np.sum(model.pdf(lam) * products) * weight)
 

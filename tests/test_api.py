@@ -3,8 +3,10 @@ root re-exports each module's public names as the same objects."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellsim
@@ -54,3 +56,19 @@ def test_correlation_sign_has_one_definition():
 
     assert inequalities.CorrelationSign is qstate.CorrelationSign
     assert bellsim.CorrelationSign is qstate.CorrelationSign
+
+
+def test_benchmark_kernel_coupling_points():
+    # bench/test_bench.py replaces count_outcomes with a function of
+    # (pair_index, d, g, n_pairs), and bench/tracing.py reads that call's
+    # first three positional arguments and unpacks sample_outcomes' result
+    from bellsim import _kernels
+
+    params = list(inspect.signature(_kernels.count_outcomes).parameters)
+    assert params == ["pair_index", "d", "g", "n_pairs"]
+    result = _kernels.sample_outcomes(
+        np.array([0.1, 0.9]), np.array([0, 0]), np.array([[0.25, 0.5, 0.75]])
+    )
+    assert isinstance(result, tuple) and len(result) == 2
+    d, g = result
+    assert d.tolist() == [1, -1] and g.tolist() == [1, -1]

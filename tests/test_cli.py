@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import harness
@@ -232,17 +232,28 @@ class TestTrialCsvRoundTrip:
         write_trials_csv(str(second), parsed, angles)
         assert second.read_bytes() == first.read_bytes()
 
-    def test_negative_pair_index_names_a_label_from_the_end(self, tmp_path):
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(-128, 127),
+                           st.integers(-128, 127)), min_size=1, max_size=300),
+    )
+    @example(rows=[(0, 0, 0), (1, 5, -7), (2, -7, 5), (3, 0, -1)])
+    def test_file_tallies_as_the_log(self, tmp_path, rows):
+        # any int8 outcome: the writer reads its sign as the tally does, so
+        # a 0 or a 5 is written +1 and a -7 is written -1
+        log = trial_log(*zip(*rows))
         path = tmp_path / "t.csv"
-        log = trial_log([-1, -4, 3], [1, -1, 1], [-1, 1, 1])
-        write_trials_csv(str(path), log, (0.0, 0.0, 0.0, 0.0))
-        rows = path.read_text().splitlines()[2:]
-        assert rows == ["d'g',+1,-1", "dg,-1,+1", "d'g',+1,+1"]
+        write_trials_csv(str(path), log, (0.0, -90.0, 135.0, -135.0))
+        parsed = read_trials_csv(str(path))
+        assert np.array_equal(
+            harness.tabulate(parsed).counts, harness.tabulate(log).counts
+        )
 
-    @pytest.mark.parametrize("bad", [4, 7, -5])
+    @pytest.mark.parametrize("bad", [4, 7, -1, -5])
     def test_pair_index_outside_the_labels_raises(self, tmp_path, bad):
         log = trial_log([0, bad, 1], [1, 1, 1], [1, 1, 1])
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="pair index"):
             write_trials_csv(str(tmp_path / "t.csv"), log, (0.0, 0.0, 0.0, 0.0))
 
 
@@ -515,6 +526,20 @@ class TestMaximizeCommand:
         code, _, stderr = run(capsys, "maximize", "--coarse-step", "20")
         assert code == 2
         assert "coarse-step" in stderr
+
+    @pytest.mark.parametrize("step", ["0.25", "0", "nan"])
+    def test_step_below_the_floor_is_rejected(self, capsys, step):
+        # 0.25 degrees would hold eight 1440 x 1440 arrays for 24 s; the
+        # floor of 0.5 refuses it before any grid is built
+        code, stdout, stderr = run(capsys, "maximize", "--coarse-step", step)
+        assert code == 2
+        assert stdout == ""
+        assert "coarse-step must be in [0.5, 15] degrees" in stderr
+
+    def test_refine_iters_option_is_gone(self, capsys):
+        code, _, stderr = run(capsys, "maximize", "--refine-iters", "200")
+        assert code == 2
+        assert "--refine-iters" in stderr
 
 
 @pytest.mark.parametrize("module", ["bellsim", "bellsim.cli"])

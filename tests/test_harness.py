@@ -20,7 +20,7 @@ from bellsim.harness import (
     tabulate,
     wigner_scan,
 )
-from bellsim.inequalities import QuantumBornSource, wigner_check
+from bellsim.inequalities import EmpiricalSource, QuantumBornSource, wigner_check
 from bellsim.lhv import quantum_mimic_attempt, sign_model
 from bellsim.qstate import StateKind, closed_form_correlation, make_state
 
@@ -165,7 +165,7 @@ class TestTabulate:
         schedule = chsh_schedule(*SINGLET_CHSH_ANGLES)
         log = run_trials(SINGLET, schedule, 12_345, seed=2)
         counts = tabulate(log)
-        assert counts.total() == 12_345
+        assert counts.counts.sum() == 12_345
         per_pair = counts.counts.sum(axis=1)
         assert np.array_equal(per_pair, np.bincount(log.pair_index, minlength=4))
 
@@ -188,9 +188,9 @@ class TestTabulate:
 
 class TestAnalyzeChsh:
     def test_all_plus_plus(self):
-        counts = harness.CountsTable(
-            pairs=chsh_schedule(*SINGLET_CHSH_ANGLES).pairs,
-            counts=np.array([[10, 0, 0, 0]] * 4),
+        counts = EmpiricalSource(
+            chsh_schedule(*SINGLET_CHSH_ANGLES).pairs,
+            np.array([[10, 0, 0, 0]] * 4),
         )
         analysis = analyze_chsh(counts)
         assert all(p.e == 1.0 for p in analysis.per_pair)
@@ -213,9 +213,9 @@ class TestAnalyzeChsh:
         assert not analysis.violated_5sigma
 
     def test_empty_pair_error_names_pair(self):
-        counts = harness.CountsTable(
-            pairs=chsh_schedule(*SINGLET_CHSH_ANGLES).pairs,
-            counts=np.array([[10, 0, 0, 0]] * 3 + [[0, 0, 0, 0]]),
+        counts = EmpiricalSource(
+            chsh_schedule(*SINGLET_CHSH_ANGLES).pairs,
+            np.array([[10, 0, 0, 0]] * 3 + [[0, 0, 0, 0]]),
         )
         with pytest.raises(ValueError, match="d'g'"):
             analyze_chsh(counts)
@@ -223,9 +223,9 @@ class TestAnalyzeChsh:
     def test_short_table_raises(self):
         # row i is role PAIR_LABELS[i]; a missing fourth row is an error,
         # not an S of three terms
-        counts = harness.CountsTable(
-            pairs=chsh_schedule(*SINGLET_CHSH_ANGLES).pairs[:3],
-            counts=np.array([[10, 0, 0, 0]] * 3),
+        counts = EmpiricalSource(
+            chsh_schedule(*SINGLET_CHSH_ANGLES).pairs[:3],
+            np.array([[10, 0, 0, 0]] * 3),
         )
         with pytest.raises(IndexError):
             analyze_chsh(counts)
@@ -290,6 +290,11 @@ class TestMaximizeChsh:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             maximize_chsh(StateKind.SPIN_ANTICORRELATED, coarse_step_deg=20.0)
+
+    @pytest.mark.parametrize("step", [0.25, 0.0])
+    def test_step_below_the_floor_raises(self, step):
+        with pytest.raises(ValueError, match=r"\[0\.5, 15\]"):
+            maximize_chsh(StateKind.SPIN_ANTICORRELATED, coarse_step_deg=step)
 
 
 class TestWignerScan:

@@ -24,7 +24,7 @@ from bellsim.inequalities import (
     wigner_check,
     wigner_terms,
 )
-from bellsim.lhv import LhvModel, sign_model
+from bellsim.lhv import LhvModel, UnboundedSupportError, sign_model
 from bellsim.qstate import StateKind, make_state
 
 SQRT2 = math.sqrt(2.0)
@@ -307,7 +307,7 @@ class TestChsh:
         log = harness.run_trials(state, schedule, 1_000_000, seed=101)
         counts = harness.tabulate(log)
         analysis = harness.analyze_chsh(counts)
-        report = chsh_d4(counts.to_source(), *harness.SINGLET_CHSH_ANGLES)
+        report = chsh_d4(counts, *harness.SINGLET_CHSH_ANGLES)
         assert report.violated
         assert abs(report.margin - (2 * SQRT2 - 2.0)) <= 5 * analysis.s_std_error
 
@@ -398,6 +398,28 @@ class TestWigner:
             source.joints(0.0, 3.0)
 
 
+class TestLhvSource:
+    # correlation and joints share one quadrature-node helper, so both
+    # refuse what quadrature cannot do, with the same errors
+    @pytest.mark.parametrize("method", ["correlation", "joints"])
+    def test_unbounded_model_is_refused(self, method):
+        unbounded = LhvModel(
+            name="gaussian_threshold",
+            pdf=lambda lam: np.exp(-0.5 * lam**2) / math.sqrt(2 * math.pi),
+            sample=lambda rng, n: rng.normal(size=n),
+            response_d=lambda lam, angle: np.where(lam >= angle, 1, -1),
+            response_g=lambda lam, angle: np.where(lam >= angle, -1, 1),
+            support=None,
+        )
+        with pytest.raises(UnboundedSupportError, match="unbounded support"):
+            getattr(LhvSource(unbounded), method)(0.0, 1.0)
+
+    @pytest.mark.parametrize("method", ["correlation", "joints"])
+    def test_node_floor(self, method):
+        with pytest.raises(ValueError, match="nodes must be >= 1000"):
+            getattr(LhvSource(sign_model(), nodes=999), method)(0.0, 1.0)
+
+
 class TestEmpiricalSource:
     def test_correlation_and_joint(self):
         pairs = [(0.0, 1.0), (0.0, 2.0)]
@@ -425,10 +447,9 @@ class TestEmpiricalSource:
         # delta = delta' and gamma = gamma' put all 40000 trials on one pair
         schedule = harness.chsh_schedule(0.0, 0.0, math.pi / 4, math.pi / 4)
         state = make_state(StateKind.SPIN_ANTICORRELATED)
-        table = harness.tabulate(harness.run_trials(state, schedule, 40_000, 1))
-        n_pp, n_pm, n_mp, n_mm = table.counts.sum(axis=0)
+        source = harness.tabulate(harness.run_trials(state, schedule, 40_000, 1))
+        n_pp, n_pm, n_mp, n_mm = source.counts.sum(axis=0)
         assert n_pp + n_pm + n_mp + n_mm == 40_000
-        source = table.to_source()
         e = (n_pp + n_mm - n_pm - n_mp) / 40_000
         assert source.correlation(0.0, math.pi / 4) == e
 

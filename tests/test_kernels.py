@@ -184,6 +184,58 @@ def test_count_outcomes_rejects_out_of_range_pairs(bad):
         _kernels.count_outcomes(pair_index, d, g, 4)
 
 
+@pytest.mark.parametrize(
+    "n_pairs, dtype",
+    [(1, np.uint8), (4, np.uint8), (64, np.uint8), (65, np.uint16),
+     (16384, np.uint16), (16385, np.uint32)],
+)
+def test_trial_codes_match_the_row_code(n_pairs, dtype):
+    pair_index, d, g = random_log(n_pairs, 5000, n_pairs)
+    pair_index[-1] = n_pairs - 1
+    code = _kernels.trial_codes(pair_index, d, g, n_pairs)
+    assert code.dtype == dtype
+    want = 4 * pair_index + 2 * (d < 0) + (g < 0)
+    assert np.array_equal(code, want)
+
+
+def test_trial_codes_read_the_outcome_sign():
+    # the tally's reading: only a negative outcome counts as -1
+    d = np.array([1, -1, 0, 5, -7, 127, -128], dtype=np.int8)
+    code = _kernels.trial_codes(np.zeros(7, dtype=np.int64), d, d, 1)
+    assert code.tolist() == [0, 3, 0, 0, 3, 0, 3]
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 256])
+def test_trial_codes_reject_out_of_range_pairs(bad):
+    pair_index, d, g = random_log(9, 100, 4)
+    pair_index[30] = bad
+    with pytest.raises(ValueError, match=r"pair index outside range\(4\)"):
+        _kernels.trial_codes(pair_index, d, g, 4)
+
+
+def test_trial_codes_empty():
+    empty = np.zeros(0, dtype=np.int64)
+    code = _kernels.trial_codes(empty, empty, empty, 4)
+    assert code.dtype == np.uint8 and code.shape == (0,)
+
+
+def test_trial_outcomes_of_the_four_categories():
+    d, g = _kernels.trial_outcomes(np.arange(8, dtype=np.uint8))
+    assert d.dtype == g.dtype == np.int8
+    assert list(zip(d.tolist(), g.tolist())) == [(1, 1), (1, -1), (-1, 1), (-1, -1)] * 2
+
+
+@pytest.mark.parametrize("n_pairs", [4, 65, 16385])
+def test_trial_outcomes_invert_trial_codes(n_pairs):
+    # wide codes (uint16, uint32) decode through their low two bits
+    pair_index, d, g = random_log(n_pairs + 1, 5000, n_pairs)
+    pair_index[-1] = n_pairs - 1
+    got_d, got_g = _kernels.trial_outcomes(_kernels.trial_codes(pair_index, d, g, n_pairs))
+    assert got_d.dtype == got_g.dtype == np.int8
+    assert np.array_equal(got_d, np.where(d < 0, -1, 1))
+    assert np.array_equal(got_g, np.where(g < 0, -1, 1))
+
+
 def test_grid_max_against_brute_force():
     rng = np.random.default_rng(4)
     corr = rng.uniform(-1, 1, size=(7, 7))

@@ -357,16 +357,27 @@ class TestEstimate:
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
 def test_grid_consistency_quadrature_vs_montecarlo(model):
     # 36x36 angle grid: quadrature within [-1, 1] and the Monte Carlo mean
-    # within 5 standard errors of it (plus float dust for the exact cases)
+    # within 5 standard errors of it (plus float dust for the exact cases).
+    # One draw of n lam serves the whole grid, so each response is
+    # evaluated once per angle; the diagonal also takes fresh draws through
+    # estimate_correlation itself.
+    n = 100_000
     angles = np.linspace(0.0, TWO_PI, 36, endpoint=False)
-    seed = 0
-    for delta in angles:
-        for gamma in angles:
-            seed += 1
-            quad = quadrature_correlation(model, delta, gamma, nodes=4096)
-            assert -1.0 - 1e-6 <= quad <= 1.0 + 1e-6
-            est = estimate_correlation(model, delta, gamma, 100_000, seed=seed)
-            assert abs(est.mean - quad) <= 5.0 * est.std_error + 1e-3
+    lam = model.sample(np.random.default_rng(0), n)
+    d = np.array([model.response_d(lam, a) for a in angles], dtype=np.float64)
+    g = np.array([model.response_g(lam, a) for a in angles], dtype=np.float64)
+    mean = (d @ g.T) / n
+    # the sample variance (ddof=1) of n products that are all +-1
+    std_error = np.sqrt((1.0 - mean**2) / (n - 1))
+    quad = np.array(
+        [[quadrature_correlation(model, delta, gamma, nodes=4096) for gamma in angles]
+         for delta in angles]
+    )
+    assert np.all(np.abs(quad) <= 1.0 + 1e-6)
+    assert np.all(np.abs(mean - quad) <= 5.0 * std_error + 1e-3)
+    for i, angle in enumerate(angles):
+        est = estimate_correlation(model, angle, angle, n, seed=1 + i)
+        assert abs(est.mean - quad[i, i]) <= 5.0 * est.std_error + 1e-3
 
 
 def test_builtin_chsh_ceiling_at_canonical_angles():
