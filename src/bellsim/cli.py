@@ -11,6 +11,9 @@ Subcommands::
 
 Angles are degrees on the command line and radians everywhere inside.
 Exit codes: 0 success, 2 usage or validation error, 1 runtime failure.
+The library raises its input errors as ``bellsim.UsageError``, a
+``ValueError``; this module adds only the checks the library cannot
+make, and maps exactly that class to exit 2.
 The default seed is 0, overridable with --seed or the BELLSIM_SEED
 environment variable.
 
@@ -38,6 +41,7 @@ import numpy as np
 
 from . import _kernels, harness, inequalities, lhv, qstate
 from .harness import PAIR_LABELS, SettingsPolicy
+from .lhv import UsageError
 
 __all__ = ["main", "entry_point"]
 
@@ -47,9 +51,6 @@ _ANGLE_HEADER_RE = re.compile(
     r"^# angles_deg: delta=([^,]+),delta_prime=([^,]+),"
     r"gamma=([^,]+),gamma_prime=([^,]+)$"
 )
-
-class UsageError(Exception):
-    """Invalid arguments or malformed input; exit code 2."""
 
 
 def _resolve_seed(seed) -> int:
@@ -183,9 +184,12 @@ def read_trials_csv(path: str) -> harness.TrialLog:
     physical 1-based line number."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            lines = fh.read().splitlines()
+            # only "\n" ends a physical line; str.splitlines also breaks at "\f"
+            lines = fh.read().split("\n")
         except UnicodeDecodeError as exc:
             raise UsageError(f"input is not UTF-8 text: {exc}") from None
+    if lines[-1] == "":  # the newline that ends the file starts no line
+        lines.pop()
     if not lines:
         raise UsageError("line 1: missing angles header")
     match = _ANGLE_HEADER_RE.match(lines[0])
@@ -236,13 +240,9 @@ def _analyze(log: harness.TrialLog, seed, out) -> int:
     """Print the S analysis of a log and write its report JSON to ``out``.
 
     A settings pair without trials (too few --trials, or a trial CSV that
-    lacks the pair) is a usage error.
+    lacks the pair) is a usage error, raised by the analysis.
     """
-    source = harness.tabulate(log)
-    for label, n in zip(PAIR_LABELS, source.counts.sum(axis=1)):
-        if n == 0:
-            raise UsageError(f"no trials recorded for settings pair {label!r}")
-    analysis = harness.analyze_chsh(source)
+    analysis = harness.analyze_chsh(harness.tabulate(log))
     if out:
         report = _report_dict(analysis, seed, log.source_description)
         _write_text(out, json.dumps(report, indent=2) + "\n")
@@ -264,8 +264,6 @@ def cmd_chsh_sim(args) -> int:
         angles_deg = tuple(
             scale * math.degrees(a) for a in harness.SINGLET_CHSH_ANGLES
         )
-    if args.trials < 1:
-        raise UsageError("trials must be >= 1")
     seed = _resolve_seed(args.seed)
     if kind is not None:
         source = qstate.make_state(kind)
@@ -280,14 +278,14 @@ def cmd_chsh_sim(args) -> int:
 
 
 def cmd_lhv_sim(args) -> int:
-    if args.trials < 1:
-        raise UsageError("trials must be >= 1")
-    if args.nodes < 1000:
-        raise UsageError("nodes must be >= 1000")
     model = _lhv_model(args.model)
     seed = _resolve_seed(args.seed)
     delta = _radians("--delta", args.delta)
     gamma = _radians("--gamma", args.gamma)
+    # quadrature first: a bad --nodes stops the run before any draw or print
+    quad = None
+    if model.support is not None:
+        quad = lhv.quadrature_correlation(model, delta, gamma, args.nodes)
     estimate = lhv.estimate_correlation(model, delta, gamma, args.trials, seed)
     result = {
         "model": model.name,
@@ -302,8 +300,7 @@ def cmd_lhv_sim(args) -> int:
         f"{model.name}: E({args.delta} deg, {args.gamma} deg) = "
         f"{estimate.mean:+.6f} +- {estimate.std_error:.6f}  (n={estimate.n_samples})"
     )
-    if model.support is not None:
-        quad = lhv.quadrature_correlation(model, delta, gamma, args.nodes)
+    if quad is not None:
         result["quadrature"] = quad
         result["nodes"] = args.nodes
         print(f"quadrature ({args.nodes} nodes): {quad:+.6f}")
@@ -313,8 +310,6 @@ def cmd_lhv_sim(args) -> int:
 
 
 def cmd_wigner_scan(args) -> int:
-    if args.steps < 3:
-        raise UsageError("steps must be >= 3")
     kind = qstate.StateKind(args.state)
     theta3 = args.theta3
     if theta3 is None:
@@ -331,7 +326,7 @@ def cmd_wigner_scan(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_text(args.out, text)
-        violations = sum(1 for p in points if p.margin > 1e-9)
+        violations = sum(p.margin > inequalities.VIOLATION_TOLERANCE for p in points)
         print(f"wrote {len(points)} rows to {args.out} ({violations} violations)")
     else:
         sys.stdout.write(text)
@@ -380,8 +375,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_maximize(args) -> int:
     kind = qstate.StateKind(args.state)
-    if not 0.5 <= args.coarse_step <= 15.0:
-        raise UsageError("coarse-step must be in [0.5, 15] degrees")
     angles, s_star = harness.maximize_chsh(kind, coarse_step_deg=args.coarse_step)
     angles_deg = [math.degrees(a) for a in angles]
     labels = ("delta", "delta_prime", "gamma", "gamma_prime")

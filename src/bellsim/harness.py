@@ -28,7 +28,7 @@ from .inequalities import (
     chsh_s,
     wigner_terms,
 )
-from .lhv import LhvModel
+from .lhv import LhvModel, UsageError
 from .qstate import (
     EntangledState,
     StateKind,
@@ -179,7 +179,7 @@ def run_trials(
     draw one lam per trial and evaluate both responses on it.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise UsageError("trials must be >= 1")
     pairs = schedule.pairs
     quantum = isinstance(source, EntangledState)
     if quantum:
@@ -239,8 +239,8 @@ def analyze_chsh(source: EmpiricalSource) -> ChshAnalysis:
 
     Row i of ``source.counts`` holds role PAIR_LABELS[i].  Per-pair
     variance is the binomial (1 - E^2)/n; the variance of S is their
-    sum.  A role whose row has zero trials is an error: an S assembled
-    from missing pairs would be meaningless.
+    sum.  A role whose row has zero trials raises UsageError: an S
+    assembled from missing pairs would be meaningless.
     """
     per_pair = []
     variance = 0.0
@@ -248,7 +248,7 @@ def analyze_chsh(source: EmpiricalSource) -> ChshAnalysis:
         row = source.counts[i]
         total = int(row.sum())
         if total == 0:
-            raise ValueError(f"no trials recorded for settings pair {label!r}")
+            raise UsageError(f"no trials recorded for settings pair {label!r}")
         e = joint_correlation(row) / total
         var = (1.0 - e * e) / total
         variance += var
@@ -283,7 +283,7 @@ def maximize_chsh(
     2*sqrt(2) to well within 1e-6.
     """
     if not 0.5 <= coarse_step_deg <= 15.0:
-        raise ValueError("coarse_step_deg must be in [0.5, 15]")
+        raise UsageError("coarse-step must be in [0.5, 15] degrees")
     step = math.radians(coarse_step_deg)
     grid = np.arange(0.0, 2.0 * math.pi - 1e-12, step)
     corr = closed_form_correlation(kind, grid[:, None], grid[None, :])
@@ -347,7 +347,7 @@ def wigner_scan(
     at that point.
     """
     if steps < 3:
-        raise ValueError("steps must be >= 3")
+        raise UsageError("steps must be >= 3")
     source = QuantumBornSource(make_state(kind))
     theta2 = np.linspace(theta1, theta3, steps)
     lhs, rhs = wigner_terms(source, theta1, theta2, theta3, kind.sign)

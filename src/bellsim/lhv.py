@@ -35,6 +35,7 @@ import numpy as np
 __all__ = [
     "LhvModel",
     "CorrelationEstimate",
+    "UsageError",
     "UnboundedSupportError",
     "quadrature_correlation",
     "estimate_correlation",
@@ -50,6 +51,10 @@ TWO_PI = 2.0 * math.pi
 DENSITY_ATOL = 1e-9
 
 _NORM_CHECK_NODES = 4096
+
+
+class UsageError(ValueError):
+    """An input outside the bounds a function accepts; the CLI exits 2."""
 
 
 class UnboundedSupportError(ValueError):
@@ -115,7 +120,7 @@ def _midpoints(support: tuple[float, float], nodes: int) -> tuple[np.ndarray, fl
 def _quadrature_nodes(model: LhvModel, nodes: int) -> tuple[np.ndarray, float]:
     """Midpoint nodes and weight over the support; checks both limits."""
     if nodes < 1000:
-        raise ValueError("nodes must be >= 1000")
+        raise UsageError("nodes must be >= 1000")
     if model.support is None:
         raise UnboundedSupportError(
             f"model {model.name!r} has unbounded support; "
@@ -138,7 +143,7 @@ def estimate_correlation(
 ) -> CorrelationEstimate:
     """Monte Carlo estimate of <d*g> from n independent lam draws."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise UsageError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     lam = model.sample(rng, n)
     products = (model.response_d(lam, delta) * model.response_g(lam, gamma)).astype(

@@ -72,3 +72,19 @@ def test_benchmark_kernel_coupling_points():
     assert isinstance(result, tuple) and len(result) == 2
     d, g = result
     assert d.tolist() == [1, -1] and g.tolist() == [1, -1]
+
+
+def test_usage_error_has_one_definition(capsys, monkeypatch):
+    # bench/test_bench.py raises cli.UsageError and expects exit 2; the
+    # library raises the same class, public as bellsim.UsageError
+    from bellsim import cli, lhv
+
+    assert cli.UsageError is bellsim.UsageError is lhv.UsageError
+    assert issubclass(bellsim.UsageError, ValueError)
+
+    def rejects(args):
+        raise cli.UsageError("rejected")
+
+    monkeypatch.setattr(cli, "cmd_enumerate", rejects)
+    assert cli.main(["enumerate"]) == 2
+    assert capsys.readouterr().err == "error: rejected\n"

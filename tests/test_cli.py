@@ -369,6 +369,19 @@ class TestAnalyzeValidation:
         assert code == 2
         assert "no trial rows found" in stderr
 
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x85", "\u2028", "\u2029"])
+    def test_line_numbers_count_only_newlines(self, tmp_path, capsys, separator):
+        # str.splitlines breaks at these too; the row of line 3 keeps its
+        # trailing separator, which int() strips, and the bad row stays on
+        # physical line 7
+        rows = [f"dg,+1,-1{separator}", "dg',+1,-1", "d'g,+1,-1", "d'g',+1,-1"]
+        path = tmp_path / "trials.csv"
+        text = "\n".join([self.HEADER, self.COLUMNS, *rows, "dg,+1"]) + "\n"
+        path.write_bytes(text.encode("utf-8"))
+        code, stdout, stderr = run(capsys, "analyze", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: line 7: expected 3 comma-separated fields\n"
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "analyze", str(tmp_path / "absent.csv"))
         assert code == 1
@@ -593,6 +606,50 @@ def test_bad_seed_is_usage_error(capsys, monkeypatch, seed_args, env, message):
     )
     assert code == 2
     assert message in stderr
+
+
+TRIAL_CSV_HEADER = (
+    "# angles_deg: delta=0.0,delta_prime=-90.0,gamma=135.0,gamma_prime=-135.0"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,csv_text,message",
+    [
+        (["chsh-sim", "--state", "spin-correlated", "--angles", "0,90,45"], None,
+         "expected four comma-separated angles: "
+         "delta,delta_prime,gamma,gamma_prime"),
+        (["chsh-sim", "--state", "spin-correlated", "--angles", "0,x,45,135"], None,
+         "angles must be numeric, got '0,x,45,135'"),
+        (["chsh-sim", "--state", "spin-correlated", "--angles", "0,nan,45,135"], None,
+         "angles must be finite"),
+        (["analyze"], f"{TRIAL_CSV_HEADER}\npair,outcome_d,outcome_g\ndg,+1\n",
+         "line 3: expected 3 comma-separated fields"),
+        (["analyze"], f"{TRIAL_CSV_HEADER}\npair,outcome_d,outcome_g\ndg,x,+1\n",
+         "line 3: outcome must be +1 or -1"),
+        (["analyze"], "", "line 1: missing angles header"),
+        (["analyze"],
+         TRIAL_CSV_HEADER.replace("gamma=135.0", "gamma=abc")
+         + "\npair,outcome_d,outcome_g\ndg,+1,-1\n",
+         "line 1: angles must be numeric"),
+        (["analyze"], f"{TRIAL_CSV_HEADER}\npair,d,g\ndg,+1,-1\n",
+         "line 2: expected header 'pair,outcome_d,outcome_g'"),
+        (["lhv-sim", "--model", "sign_model", "--trials", "0"], None,
+         "trials must be >= 1"),
+        (["lhv-sim", "--model", "sign_model", "--nodes", "999"], None,
+         "nodes must be >= 1000"),
+        # the quadrature runs before the Monte Carlo draws, so it reports first
+        (["lhv-sim", "--model", "sign_model", "--trials", "0", "--nodes", "999"],
+         None, "nodes must be >= 1000"),
+    ],
+)
+def test_rejected_input_exits_2(tmp_path, capsys, argv, csv_text, message):
+    if csv_text is not None:
+        path = tmp_path / "trials.csv"
+        path.write_text(csv_text, encoding="utf-8")
+        argv = [*argv, str(path)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
 def test_too_few_trials_names_empty_pair(capsys):

@@ -12,8 +12,9 @@ files differ in the angles header.  The LHV models run at the spin
 optimum, whose response thresholds lie on multiples of 45 degrees, where
 the mimic model's CDF takes the uniform one's values (k/8); the mimic and
 sign models therefore give the same outcomes from the same uniform
-draws, and the mimic sampler is pinned by the lhv-sim report at 22.5
-degrees.
+draws.  The mimic sampler is pinned by the lhv-sim report at 22.5
+degrees, and by chsh-sim runs at the spin optimum turned by 22.5
+degrees, whose thresholds lie off those multiples.
 """
 
 import contextlib
@@ -73,6 +74,18 @@ LHV_PINNED = [
      "53fbc22323c8e3555def63f1270cf6cd89c7f89309186b2772e2d03a462b48f4"),
 ]
 
+# the spin optimum turned by 22.5 degrees
+MIMIC_ANGLES = "22.5,-67.5,157.5,-112.5"
+
+MIMIC_PINNED = [
+    ("uniform",
+     "91aa6493250f914e8a018beeb9abd1bbde1ccaffda5e7e0bee11e95b78dbe14c",
+     "62d1ff105f1e48f48c25c44825706c0c6e616d519fa6158e8007c03cecc8f103"),
+    ("round-robin",
+     "5527bd42f8afe13db361ca16f61d1b625c65b38895d01a51f84df7e027d9cbbd",
+     "c41cf26bb06aea253b15abbc46607a2ef53e7a8167464e0a51491495a99b74fc"),
+]
+
 LHV_SIM_REPORT_SHA256 = (
     "b91126198d37968c1181346e8a3ad23116d1bccbc25a8bddf49a7a79cff23a9e"
 )
@@ -118,6 +131,24 @@ def test_lhv_trials_and_counts_are_pinned(
 ):
     digests = _chsh_sim_digests(tmp_path, monkeypatch, ["--model", model], schedule)
     assert digests == (csv_sha256, counts_sha256)
+
+
+@pytest.mark.parametrize("schedule,csv_sha256,counts_sha256", MIMIC_PINNED)
+def test_mimic_density_is_pinned(
+    tmp_path, monkeypatch, schedule, csv_sha256, counts_sha256
+):
+    # off the multiples of 45 degrees the mimic density decides outcomes:
+    # the same draws give other trials than the sign model's
+    digests = _chsh_sim_digests(
+        tmp_path, monkeypatch,
+        ["--model", "quantum_mimic_attempt", "--angles", MIMIC_ANGLES], schedule,
+    )
+    assert digests == (csv_sha256, counts_sha256)
+    sign = _chsh_sim_digests(
+        tmp_path, monkeypatch, ["--model", "sign_model", "--angles", MIMIC_ANGLES],
+        schedule,
+    )
+    assert sign[0] != csv_sha256 and sign[1] != counts_sha256
 
 
 def test_lhv_sim_report_is_pinned(tmp_path):

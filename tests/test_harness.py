@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bellsim import harness
+import bellsim
+from bellsim import harness, lhv
 from bellsim.harness import (
     BLOCK_SIZE,
     PAIR_LABELS,
@@ -338,3 +339,37 @@ class TestWignerScan:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             wigner_scan(0.0, math.pi / 2, 2)
+
+
+def _empty_pair_counts():
+    counts = np.full((4, 4), 5)
+    counts[2] = 0
+    return EmpiricalSource(chsh_schedule(*SINGLET_CHSH_ANGLES).pairs, counts)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: run_trials(SINGLET, equal_angle_schedule(), 0, seed=0),
+         "trials must be >= 1"),
+        (lambda: lhv.estimate_correlation(sign_model(), 0.0, 0.0, 0, seed=0),
+         "trials must be >= 1"),
+        (lambda: lhv.quadrature_correlation(sign_model(), 0.0, 0.0, nodes=999),
+         "nodes must be >= 1000"),
+        (lambda: wigner_scan(0.0, math.pi / 2, 2), "steps must be >= 3"),
+        (lambda: maximize_chsh(StateKind.SPIN_ANTICORRELATED, coarse_step_deg=16.0),
+         "coarse-step must be in [0.5, 15] degrees"),
+        (lambda: analyze_chsh(_empty_pair_counts()),
+         "no trials recorded for settings pair \"d'g\""),
+    ],
+    ids=[
+        "run_trials", "estimate_correlation", "quadrature_correlation",
+        "wigner_scan", "maximize_chsh", "analyze_chsh",
+    ],
+)
+def test_input_bounds_raise_usage_error(call, message):
+    # each bound is stated once, in the library, in the words the CLI prints
+    with pytest.raises(bellsim.UsageError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == message

@@ -24,8 +24,14 @@ from bellsim.inequalities import (
     wigner_check,
     wigner_terms,
 )
-from bellsim.lhv import LhvModel, UnboundedSupportError, sign_model
-from bellsim.qstate import StateKind, make_state
+from bellsim.lhv import (
+    LhvModel,
+    UnboundedSupportError,
+    builtin_models,
+    quadrature_correlation,
+    sign_model,
+)
+from bellsim.qstate import StateKind, joint_correlation, make_state
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2 * math.pi
@@ -457,3 +463,17 @@ class TestEmpiricalSource:
         source = EmpiricalSource([(0.0, 1.0)], np.array([[0, 0, 0, 0]]))
         with pytest.raises(ValueError, match="zero trials"):
             source.correlation(0.0, 1.0)
+
+
+@pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
+def test_lhv_source_joints_match_quadrature(model):
+    source = LhvSource(model)
+    angles = np.linspace(-math.pi, 2.0 * math.pi, 7) + 0.1
+    for delta, gamma in itertools.product(angles, angles):
+        joints = source.joints(delta, gamma)
+        assert joints.shape == (4,)
+        assert np.all(joints >= 0.0)
+        assert abs(joints.sum() - 1.0) <= 1e-12
+        assert abs(
+            joint_correlation(joints) - quadrature_correlation(model, delta, gamma)
+        ) <= 1e-12
