@@ -26,6 +26,7 @@ from .inequalities import (
     QuantumBornSource,
     QuantumClosedFormSource,
     chsh_s,
+    chsh_variants,
     wigner_terms,
 )
 from .lhv import LhvModel, UsageError
@@ -239,9 +240,15 @@ def analyze_chsh(source: EmpiricalSource) -> ChshAnalysis:
 
     Row i of ``source.counts`` holds role PAIR_LABELS[i].  Per-pair
     variance is the binomial (1 - E^2)/n; the variance of S is their
-    sum.  A role whose row has zero trials raises UsageError: an S
-    assembled from missing pairs would be meaningless.
+    sum.  A table without exactly one row per role, or a role whose row
+    has zero trials, raises UsageError: an S assembled from missing or
+    extra pairs would be meaningless.
     """
+    if len(source.counts) != len(PAIR_LABELS):
+        raise UsageError(
+            f"CHSH analysis needs {len(PAIR_LABELS)} settings pairs, "
+            f"got {len(source.counts)}"
+        )
     per_pair = []
     variance = 0.0
     for i, label in enumerate(PAIR_LABELS):
@@ -253,8 +260,7 @@ def analyze_chsh(source: EmpiricalSource) -> ChshAnalysis:
         var = (1.0 - e * e) / total
         variance += var
         per_pair.append(PairEstimate(label, e, math.sqrt(var), total))
-    e_dg, e_dgp, e_dpg, e_dpgp = (p.e for p in per_pair)
-    s_mean = e_dg + e_dgp + e_dpg - e_dpgp
+    s_mean = float(chsh_variants([p.e for p in per_pair])[3])
     s_std_error = math.sqrt(variance)
     excess = abs(s_mean) - 2.0
     return ChshAnalysis(

@@ -9,6 +9,12 @@ hidden-variable models, empirical counts, and convex mixtures of
 fixed-outcome sextets, so the same inequality code runs against theory,
 simulation, and data.
 
+The CHSH sums have one implementation, :func:`chsh_variants`: from the
+four correlations in role order (dg, dg', d'g, d'g') it forms
+S_k = sum of the four with a minus on role k only, the four sign
+variants whose bounds |S_k| <= 2 are the eight CHSH inequalities of
+Fine (PRL 48, 291 (1982)).  S_3 is the usual S.
+
 Implemented bounds:
 
 * :func:`bell_d1` - the original three-correlation inequality
@@ -17,15 +23,15 @@ Implemented bounds:
   angle g).
 * :func:`chsh_d3` - the four-setting variant
   |E(d,g) - E(d,g')| + E(d',g') + E(d',g) <= 2, valid for correlated
-  and anticorrelated pairs alike.
+  and anticorrelated pairs alike; its lhs is max(S_0, S_1).
 * :func:`chsh_d4` - |<S>| <= 2 with
-  S = E(d,g) + E(d,g') + E(d',g) - E(d',g').
+  S = S_3 = E(d,g) + E(d,g') + E(d',g) - E(d',g').
 * :func:`wigner_check` - the three-angle probability inequality for
   strictly (anti)correlated pairs, read in the pair's sign form.
 
 The enumeration oracles ground the convex bounds in integer
 arithmetic: :func:`enumerate_quartets` lists all 16 joint outcome
-assignments for four settings (each with S = +-2 exactly), and
+assignments for four settings (each with every S_k = +-2 exactly), and
 :func:`enumerate_sextets` lists the 8 assignments for three shared
 angles consistent with strict (anti)correlation.
 """
@@ -59,6 +65,7 @@ __all__ = [
     "EmpiricalSource",
     "SextetMixtureSource",
     "bell_d1",
+    "chsh_variants",
     "chsh_s",
     "chsh_d4",
     "chsh_d3",
@@ -83,25 +90,18 @@ class InequalityReport:
     name: str
     lhs: float
     bound: float
-    margin: float
-    violated: bool
-    inputs: dict
+
+    @property
+    def margin(self) -> float:
+        return self.lhs - self.bound
+
+    @property
+    def violated(self) -> bool:
+        return self.margin > VIOLATION_TOLERANCE
 
     def __str__(self):
         flag = "VIOLATED" if self.violated else "satisfied"
         return f"{self.name}: lhs={self.lhs:.6f} bound={self.bound:.6f} ({flag})"
-
-
-def _report(name: str, lhs: float, bound: float, inputs: dict) -> InequalityReport:
-    margin = lhs - bound
-    return InequalityReport(
-        name=name,
-        lhs=lhs,
-        bound=bound,
-        margin=margin,
-        violated=margin > VIOLATION_TOLERANCE,
-        inputs=inputs,
-    )
 
 
 class JointUnavailableError(ValueError):
@@ -122,11 +122,8 @@ class CorrelationSource:
 
     def joints(self, delta, gamma) -> np.ndarray:
         raise JointUnavailableError(
-            f"{self.describe()} provides no joint outcome probabilities"
+            f"{type(self).__name__} provides no joint outcome probabilities"
         )
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 class QuantumClosedFormSource(CorrelationSource):
@@ -146,9 +143,6 @@ class QuantumClosedFormSource(CorrelationSource):
         diff = 0.25 * (1.0 - e)
         return np.stack([same, diff, diff, same], axis=-1)
 
-    def describe(self) -> str:
-        return f"closed-form:{self.kind.value}"
-
 
 class QuantumBornSource(CorrelationSource):
     """Exact Born-rule evaluation of an entangled state."""
@@ -158,9 +152,6 @@ class QuantumBornSource(CorrelationSource):
 
     def joints(self, delta, gamma) -> np.ndarray:
         return joint_distribution(self.state, delta, gamma)
-
-    def describe(self) -> str:
-        return f"born:{self.state.kind.value}"
 
 
 class LhvSource(CorrelationSource):
@@ -183,9 +174,6 @@ class LhvSource(CorrelationSource):
             [np.sum(rho[(d == x) & (g == y)]) for x in (1, -1) for y in (1, -1)]
         )
 
-    def describe(self) -> str:
-        return f"lhv:{self.model.name}:quadrature"
-
 
 class EmpiricalSource(CorrelationSource):
     """Correlations estimated from coincidence counts.
@@ -199,9 +187,13 @@ class EmpiricalSource(CorrelationSource):
     """
 
     def __init__(self, pairs: Sequence[tuple[float, float]], counts: np.ndarray):
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (len(pairs), 4):
+        raw = np.asarray(counts)
+        if raw.shape != (len(pairs), 4):
             raise ValueError("counts must have one (pp, pm, mp, mm) row per pair")
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison
+            counts = raw.astype(np.int64, copy=False)
+        if not np.array_equal(counts, raw):
+            raise ValueError("counts must be finite integers")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         self.pairs = [(float(d), float(g)) for d, g in pairs]
@@ -231,9 +223,6 @@ class EmpiricalSource(CorrelationSource):
         row = self._row(delta, gamma)
         return row / row.sum()
 
-    def describe(self) -> str:
-        return f"empirical:{int(self.counts.sum())} trials"
-
 
 # ---------------------------------------------------------------------------
 # inequality evaluators
@@ -258,18 +247,32 @@ def bell_d1(
     e_dgp = source.correlation(delta, gamma_prime)
     e_ggp = source.correlation(gamma, gamma_prime)
     lhs = abs(e_dg - e_dgp) + sign.factor * e_ggp
-    return _report(
-        "bell_d1",
-        lhs,
-        1.0,
-        {
-            "delta": delta,
-            "gamma": gamma,
-            "gamma_prime": gamma_prime,
-            "sign": sign.value,
-            "source": source.describe(),
-        },
-    )
+    return InequalityReport("bell_d1", lhs, 1.0)
+
+
+# row k negates role k: S_k = sum over j of _CHSH_SIGNS[k, j] * e_j
+_CHSH_SIGNS = 1 - 2 * np.eye(4, dtype=np.int8)
+
+
+def chsh_variants(e) -> np.ndarray:
+    """The four CHSH sums S_k of correlations in role order.
+
+    ``e`` has a last axis of E(dg), E(dg'), E(d'g), E(d'g'); S_k adds
+    them with a minus on role k only, so S_3 is the usual
+    S = E(dg) + E(dg') + E(d'g) - E(d'g'), bit for bit that expression.
+    Every local model obeys each |S_k| <= 2: these are the eight CHSH
+    inequalities.  Integer input (outcome products) gives integer sums.
+    """
+    terms = np.asarray(e)[..., None, :] * _CHSH_SIGNS
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+
+
+def _role_correlations(source, delta, delta_prime, gamma, gamma_prime) -> list:
+    return [
+        source.correlation(d, g)
+        for d in (delta, delta_prime)
+        for g in (gamma, gamma_prime)
+    ]
 
 
 def chsh_s(
@@ -279,13 +282,9 @@ def chsh_s(
     gamma: float,
     gamma_prime: float,
 ) -> float:
-    """<S> = E(d,g) + E(d,g') + E(d',g) - E(d',g')."""
-    return (
-        source.correlation(delta, gamma)
-        + source.correlation(delta, gamma_prime)
-        + source.correlation(delta_prime, gamma)
-        - source.correlation(delta_prime, gamma_prime)
-    )
+    """<S> = E(d,g) + E(d,g') + E(d',g) - E(d',g'), S_3 of :func:`chsh_variants`."""
+    e = _role_correlations(source, delta, delta_prime, gamma, gamma_prime)
+    return float(chsh_variants(e)[3])
 
 
 def chsh_d4(
@@ -297,19 +296,7 @@ def chsh_d4(
 ) -> InequalityReport:
     """|<S>| <= 2, the bound obeyed by every mixture of outcome quartets."""
     s = chsh_s(source, delta, delta_prime, gamma, gamma_prime)
-    return _report(
-        "chsh_d4",
-        abs(s),
-        2.0,
-        {
-            "delta": delta,
-            "delta_prime": delta_prime,
-            "gamma": gamma,
-            "gamma_prime": gamma_prime,
-            "s": s,
-            "source": source.describe(),
-        },
-    )
+    return InequalityReport("chsh_d4", abs(s), 2.0)
 
 
 def chsh_d3(
@@ -322,25 +309,12 @@ def chsh_d3(
     """Four-setting inequality |E(d,g) - E(d,g')| + E(d',g') + E(d',g) <= 2.
 
     This displayed form holds for correlated and anticorrelated pairs
-    alike.  Note the lhs differs from |S|; use :func:`chsh_d4` for that.
+    alike.  Its lhs is max(S_0, S_1) of :func:`chsh_variants`, which
+    differs from |S|; use :func:`chsh_d4` for that.
     """
-    e_dg = source.correlation(delta, gamma)
-    e_dgp = source.correlation(delta, gamma_prime)
-    e_dpgp = source.correlation(delta_prime, gamma_prime)
-    e_dpg = source.correlation(delta_prime, gamma)
-    lhs = abs(e_dg - e_dgp) + e_dpgp + e_dpg
-    return _report(
-        "chsh_d3",
-        lhs,
-        2.0,
-        {
-            "delta": delta,
-            "delta_prime": delta_prime,
-            "gamma": gamma,
-            "gamma_prime": gamma_prime,
-            "source": source.describe(),
-        },
-    )
+    e = _role_correlations(source, delta, delta_prime, gamma, gamma_prime)
+    s = chsh_variants(e)
+    return InequalityReport("chsh_d3", float(max(s[0], s[1])), 2.0)
 
 
 def wigner_terms(
@@ -397,18 +371,7 @@ def wigner_check(
     evaluates the same pattern over arrays of angles.
     """
     lhs, rhs = wigner_terms(source, theta1, theta2, theta3, sign)
-    return _report(
-        "wigner",
-        float(lhs),
-        float(rhs),
-        {
-            "theta1": theta1,
-            "theta2": theta2,
-            "theta3": theta3,
-            "sign": sign.value,
-            "source": source.describe(),
-        },
-    )
+    return InequalityReport("wigner", float(lhs), float(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +391,18 @@ class Quartet:
     @property
     def s_value(self) -> int:
         """S = d*g + d*g' + d'*g - d'*g', always +2 or -2."""
-        return (
-            self.d_delta * self.g_gamma
-            + self.d_delta * self.g_gamma_prime
-            + self.d_delta_prime * self.g_gamma
-            - self.d_delta_prime * self.g_gamma_prime
-        )
+        d, g = self.d_delta, self.g_gamma
+        dp, gp = self.d_delta_prime, self.g_gamma_prime
+        return int(chsh_variants([d * g, d * gp, dp * g, dp * gp])[3])
 
 
 def enumerate_quartets() -> list[Quartet]:
     """All 16 outcome quartets (d, g, d', g'), +1 first, d slowest.
 
-    The combination S = d*g + d*g' + d'*g - d'*g' equals +2 or -2 for
-    every quartet, which is the integer fact behind the |<S>| <= 2
-    bound for any mixture.
+    Each :func:`chsh_variants` sum of the outcome products, S = S_3 =
+    d*g + d*g' + d'*g - d'*g' among them, equals +2 or -2 for every
+    quartet, which is the integer fact behind the |<S_k>| <= 2 bounds
+    for any mixture.
     """
     return [Quartet(*outcomes) for outcomes in itertools.product((1, -1), repeat=4)]
 
@@ -512,9 +473,6 @@ class SextetMixtureSource(CorrelationSource):
         for wi, s in zip(self.weights, self._sextets):
             p[2 * (s.d[i] < 0) + (s.g[j] < 0)] += wi
         return p
-
-    def describe(self) -> str:
-        return f"sextet-mixture:{self.sign.value}"
 
 
 def _validated_weights(weights: Sequence[float], size: int) -> np.ndarray:

@@ -88,3 +88,51 @@ def test_usage_error_has_one_definition(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_enumerate", rejects)
     assert cli.main(["enumerate"]) == 2
     assert capsys.readouterr().err == "error: rejected\n"
+
+
+def test_every_chsh_sum_reads_chsh_variants(monkeypatch):
+    # the CHSH sign pattern is written once; each S reader must go through it
+    from bellsim import harness, inequalities
+
+    calls = []
+    original = inequalities.chsh_variants
+
+    def spy(e):
+        calls.append(e)
+        return original(e)
+
+    monkeypatch.setattr(inequalities, "chsh_variants", spy)
+    monkeypatch.setattr(harness, "chsh_variants", spy)
+    source = inequalities.QuantumClosedFormSource(
+        bellsim.StateKind.SPIN_ANTICORRELATED
+    )
+    angles = harness.SINGLET_CHSH_ANGLES
+    counts = inequalities.EmpiricalSource(
+        harness.chsh_schedule(*angles).pairs, np.full((4, 4), 5)
+    )
+    readers = {
+        "chsh_s": lambda: inequalities.chsh_s(source, *angles),
+        "chsh_d3": lambda: inequalities.chsh_d3(source, *angles),
+        "chsh_d4": lambda: inequalities.chsh_d4(source, *angles),
+        "Quartet.s_value": lambda: inequalities.enumerate_quartets()[0].s_value,
+        "quartet_mixture_s": lambda: inequalities.quartet_mixture_s(
+            np.full(16, 1 / 16)
+        ),
+        "analyze_chsh": lambda: harness.analyze_chsh(counts),
+    }
+    for name, read in readers.items():
+        calls.clear()
+        read()
+        assert calls, f"{name} does not call chsh_variants"
+
+
+def test_inequality_report_holds_only_what_is_read():
+    import dataclasses
+
+    from bellsim import inequalities
+
+    fields = tuple(f.name for f in dataclasses.fields(bellsim.InequalityReport))
+    assert fields == ("name", "lhs", "bound")
+    base = inequalities.CorrelationSource
+    sources = [base, *base.__subclasses__()]
+    assert [cls.__name__ for cls in sources if hasattr(cls, "describe")] == []

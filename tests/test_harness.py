@@ -48,6 +48,10 @@ class TestRunTrials:
         assert len(log) == 1
         assert log.outcome_d[0] in (-1, 1)
 
+    def test_schedule_needs_a_pair(self):
+        with pytest.raises(ValueError, match="at least one settings pair"):
+            SettingsSchedule(pairs=())
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_trials(SINGLET, equal_angle_schedule(), 0, seed=0)
@@ -228,8 +232,15 @@ class TestAnalyzeChsh:
             chsh_schedule(*SINGLET_CHSH_ANGLES).pairs[:3],
             np.array([[10, 0, 0, 0]] * 3),
         )
-        with pytest.raises(IndexError):
+        with pytest.raises(bellsim.UsageError, match="needs 4 .* got 3"):
             analyze_chsh(counts)
+
+    def test_extra_pairs_raise(self):
+        # a fifth pair used to be dropped and S scored from the first four
+        pairs = chsh_schedule(*SINGLET_CHSH_ANGLES).pairs + ((0.1, 0.2),)
+        log = run_trials(SINGLET, SettingsSchedule(pairs=pairs), 1000, seed=1)
+        with pytest.raises(bellsim.UsageError, match="needs 4 .* got 5"):
+            analyze_chsh(tabulate(log))
 
     def test_variance_formula_matches_sample_variance(self):
         schedule = chsh_schedule(*SINGLET_CHSH_ANGLES)

@@ -3,21 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bellsim.inequalities import (
     CorrelationSign,
     CorrelationSource,
     EmpiricalSource,
+    InequalityReport,
     JointUnavailableError,
     LhvSource,
     QuantumBornSource,
     QuantumClosedFormSource,
     SextetMixtureSource,
+    Sextet,
     bell_d1,
     chsh_d3,
     chsh_d4,
     chsh_s,
+    chsh_variants,
     enumerate_quartets,
     enumerate_sextets,
     quartet_mixture_s,
@@ -160,6 +165,11 @@ class TestSextets:
         corr = enumerate_sextets(CorrelationSign.CORRELATED)
         by_d = {s.d: s for s in corr}
         assert by_d[(1, -1, 1)].g == (1, -1, 1)
+
+    @pytest.mark.parametrize("sign", list(CorrelationSign))
+    def test_rejects_inconsistent_wings(self, sign):
+        with pytest.raises(ValueError, match="constraint"):
+            Sextet(d=(1, 1, 1), g=(1, -1, 1), sign=sign)
 
 
 class TestSextetMixtureProbabilities:
@@ -350,6 +360,94 @@ class TestChsh:
         assert not report.violated
 
 
+def quartet_products():
+    """Outcome products (d*g, d*g', d'*g, d'*g') of the 16 quartets, in role order."""
+    return np.array(
+        [
+            [q.d_delta * g for g in (q.g_gamma, q.g_gamma_prime)]
+            + [q.d_delta_prime * g for g in (q.g_gamma, q.g_gamma_prime)]
+            for q in enumerate_quartets()
+        ]
+    )
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestChshVariants:
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4))
+    def test_each_variant_is_its_signed_sum(self, e):
+        e0, e1, e2, e3 = e
+        s = chsh_variants(e)
+        assert s.shape == (4,)
+        assert same_bits(s[0], -e0 + e1 + e2 + e3)
+        assert same_bits(s[1], e0 - e1 + e2 + e3)
+        assert same_bits(s[2], e0 + e1 - e2 + e3)
+        # the expression every S reader spelled out before chsh_variants
+        assert same_bits(s[3], e0 + e1 + e2 - e3)
+
+    def test_broadcasts_over_leading_axes(self):
+        e = np.random.default_rng(3).uniform(-1, 1, (5, 3, 4))
+        s = chsh_variants(e)
+        assert s.shape == (5, 3, 4)
+        assert np.array_equal(s[2, 1], chsh_variants(e[2, 1]))
+
+    def test_integer_input_gives_integer_sums(self):
+        s = chsh_variants(np.array([1, -1, 1, 1]))
+        assert s.dtype.kind == "i"
+        assert s.tolist() == [0, 4, 0, 0]
+
+    def test_every_variant_of_every_quartet_is_plus_minus_two(self):
+        s = chsh_variants(quartet_products())
+        assert s.shape == (16, 4)
+        assert np.all(np.abs(s) == 2)
+        assert s[:, 3].tolist() == list(EXPECTED_S)
+
+    def test_eight_inequalities_hold_for_quartet_mixtures(self):
+        # Peres' route: a mixture of quartets has <S_k> = sum w_q S_k(q), and
+        # every S_k(q) is +-2, so all eight bounds |<S_k>| <= 2 hold
+        weights = np.random.default_rng(19).dirichlet(np.ones(16), size=10_000)
+        mixed = weights @ chsh_variants(quartet_products())
+        assert np.all(np.abs(mixed) <= 2.0 + 1e-12)
+
+    def test_d3_matches_the_displayed_form(self):
+        rng = np.random.default_rng(23)
+        for source in (SINGLET_CF, SawtoothSource()):
+            for _ in range(2000):
+                delta, delta_prime, gamma, gamma_prime = rng.uniform(-7, 7, 4)
+                e_dg = source.correlation(delta, gamma)
+                e_dgp = source.correlation(delta, gamma_prime)
+                e_dpgp = source.correlation(delta_prime, gamma_prime)
+                e_dpg = source.correlation(delta_prime, gamma)
+                old = abs(e_dg - e_dgp) + e_dpgp + e_dpg
+                report = chsh_d3(source, delta, delta_prime, gamma, gamma_prime)
+                assert abs(report.lhs - old) <= 1e-15
+
+
+class TestInequalityReport:
+    def test_str_format(self):
+        assert str(InequalityReport("chsh_d4", 2 * SQRT2, 2.0)) == (
+            "chsh_d4: lhs=2.828427 bound=2.000000 (VIOLATED)"
+        )
+        assert str(InequalityReport("bell_d1", 0.5, 1.0)) == (
+            "bell_d1: lhs=0.500000 bound=1.000000 (satisfied)"
+        )
+
+    def test_margin_and_violated_follow_lhs_and_bound(self):
+        report = InequalityReport("wigner", 0.75, 0.5)
+        assert report.margin == 0.25 and report.violated
+        # analytic sources count as violating only beyond the tolerance
+        assert not InequalityReport("wigner", 0.5 + 1e-10, 0.5).violated
+
+    def test_joint_error_names_the_source_class(self):
+        with pytest.raises(
+            JointUnavailableError,
+            match="^SawtoothSource provides no joint outcome probabilities$",
+        ):
+            SawtoothSource().joints(0.0, 1.0)
+
+
 class TestWigner:
     def test_quantum_values_at_45(self):
         t1, t2, t3 = 0.0, math.pi / 4, math.pi / 2
@@ -463,6 +561,30 @@ class TestEmpiricalSource:
         source = EmpiricalSource([(0.0, 1.0)], np.array([[0, 0, 0, 0]]))
         with pytest.raises(ValueError, match="zero trials"):
             source.correlation(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "counts", [[[1, 1, 1, 1]], [[1, 1, 1], [1, 1, 1]], [1] * 8]
+    )
+    def test_shape_must_match_pairs(self, counts):
+        with pytest.raises(ValueError, match="one .* row per pair"):
+            EmpiricalSource([(0.0, 1.0), (0.0, 2.0)], counts)
+
+    def test_negative_counts_are_an_error(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            EmpiricalSource([(0.0, 1.0)], [[3, -1, 0, 0]])
+
+    @pytest.mark.parametrize(
+        "row", [[1.5, 2.7, 0, 0], [math.nan, 1, 1, 1], [math.inf, 1, 1, 1]]
+    )
+    def test_non_integral_counts_are_an_error(self, row):
+        # these were truncated to [1, 2, 0, 0], or cast to a negative count
+        with pytest.raises(ValueError, match="finite integers"):
+            EmpiricalSource([(0.0, 1.0)], [row])
+
+    def test_integral_float_counts_are_accepted(self):
+        source = EmpiricalSource([(0.0, 1.0)], [[10.0, 0.0, 2.0, 0.0]])
+        assert source.counts.dtype == np.int64
+        assert source.counts.tolist() == [[10, 0, 2, 0]]
 
 
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)

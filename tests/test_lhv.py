@@ -83,6 +83,34 @@ class TestModelInvariants:
                 support=(0.0, 2.0),
             )
 
+    @pytest.mark.parametrize(
+        "support", [(0.0, math.inf), (math.nan, 1.0), (1.0, 1.0), (2.0, 0.0)]
+    )
+    def test_rejects_invalid_support(self, support):
+        with pytest.raises(ValueError, match="invalid support"):
+            LhvModel(
+                name="bad",
+                pdf=lambda lam: np.full(np.shape(lam), 1.0),
+                sample=lambda rng, n: rng.uniform(0, 1, n),
+                response_d=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
+                response_g=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
+                support=support,
+            )
+
+    def test_rejects_response_with_extra_argument(self):
+        # a response that could read more than (lam, angle) is not local
+        with pytest.raises(ValueError, match=r"exactly \(lam, angle\)"):
+            LhvModel(
+                name="nonlocal",
+                pdf=lambda lam: np.full(np.shape(lam), 1.0),
+                sample=lambda rng, n: rng.uniform(0, 1, n),
+                response_d=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
+                response_g=lambda lam, angle, other=0.0: np.ones(
+                    np.shape(lam), dtype=np.int8
+                ),
+                support=(0.0, 1.0),
+            )
+
     def test_get_model(self):
         assert get_model("sign_model").name == "sign_model"
         with pytest.raises(KeyError, match="unknown model"):
@@ -179,6 +207,10 @@ class TestBucketedInverseCdf:
         lam = inverse(u)
         assert np.array_equal(lam, np.interp(u, u_table, lam_table))
         assert np.all(lam[-3:] == 3.0)
+
+    def test_table_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="start at 0"):
+            lhv._BucketedInverseCdf(np.array([0.1, 0.5]), np.array([0.0, 1.0]))
 
     def test_model_samples_are_interp_of_the_same_draws(self):
         model = quantum_mimic_attempt()

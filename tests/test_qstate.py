@@ -94,6 +94,11 @@ class TestMakeState:
                 amplitudes=np.array([1.0, 0, 0, 1.0]),
             )
 
+    @pytest.mark.parametrize("amplitudes", [[SQRT_HALF, SQRT_HALF], np.eye(4) / 2])
+    def test_rejects_wrong_shape(self, amplitudes):
+        with pytest.raises(ValueError, match="length-4"):
+            EntangledState(kind=StateKind.SPIN_CORRELATED, amplitudes=amplitudes)
+
     def test_rejects_nan_amplitudes(self):
         with pytest.raises(ValueError, match="not normalized"):
             EntangledState(
