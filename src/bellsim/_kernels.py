@@ -8,6 +8,9 @@ A trial has one row code, ``pair << 2 | (d < 0) << 1 | (g < 0)``
 sums three 1-D threshold compares as uint8 into the code's low two bits;
 the tally adds the ``bincount`` of the codes of each chunk of about 1M
 trials into one int64 table, so no int64 temporary spans the whole log.
+The tally takes the pair index in whatever integer dtype it is given:
+``harness.run_trials`` stores uint8 for up to 256 pairs, so a four-pair
+log of 3 bytes per trial is never widened.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def count_outcomes(pair_index, d, g, n_pairs: int):
 
     A pair index outside ``range(n_pairs)`` raises ValueError.
     """
-    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
+    pair_index = np.asarray(pair_index)
     d = np.ascontiguousarray(d, dtype=np.int8)
     g = np.ascontiguousarray(g, dtype=np.int8)
     counts = np.zeros(4 * n_pairs, dtype=np.int64)

@@ -9,6 +9,7 @@ Subcommands::
     analyze      ingest a trial CSV and recompute the S analysis
     maximize     search analyzer angles for the largest |S|
 
+``bellsim --version`` prints the package version.
 Angles are degrees on the command line and radians everywhere inside.
 Exit codes: 0 success, 2 usage or validation error, 1 runtime failure.
 The library raises its input errors as ``bellsim.UsageError``, a
@@ -22,7 +23,10 @@ File formats (stable):
 * Trial CSV: first line ``# angles_deg: delta=<f>,delta_prime=<f>,
   gamma=<f>,gamma_prime=<f>``, then a ``pair,outcome_d,outcome_g``
   header, then one row per trial with pair in {dg, dg', d'g, d'g'} and
-  outcomes written +1/-1.  UTF-8, LF line endings.
+  outcomes written +1/-1.  UTF-8, LF line endings.  The reader also
+  takes CRLF and lone CR.  It recognises the 16 canonical body rows by
+  byte-column compares over all lines at once and parses only the other
+  lines (blank, lenient such as `` +1`` or ``01``, malformed) one by one.
 * Report JSON: flat object {name, s_mean, s_std_error, per_pair,
   bound, violated_2sigma, violated_5sigma, seed, source}.
 * Scan CSV: header ``theta2_deg,lhs,rhs,margin``.
@@ -39,7 +43,7 @@ import sys
 
 import numpy as np
 
-from . import _kernels, harness, inequalities, lhv, qstate
+from . import __version__, _kernels, harness, inequalities, lhv, qstate
 from .harness import PAIR_LABELS, SettingsPolicy
 from .lhv import UsageError
 
@@ -140,10 +144,14 @@ _TRIAL_ROW_CODES = {row: code for code, row in enumerate(_TRIAL_ROWS)}
 
 
 def write_trials_csv(path: str, log: harness.TrialLog, angles_deg) -> None:
-    """Write a log as a trial CSV; a pair index outside the four pair
-    labels raises ValueError, and an outcome is written -1 exactly when
-    it is negative, as the tally reads it."""
-    delta, delta_prime, gamma, gamma_prime = angles_deg
+    """Write a log as a trial CSV; a non-finite angle, or a pair index
+    outside the four pair labels, raises ValueError, and an outcome is
+    written -1 exactly when it is negative, as the tally reads it."""
+    # a numpy float's repr is "np.float64(...)", which no reader parses
+    angles = tuple(float(a) for a in angles_deg)
+    if not all(math.isfinite(a) for a in angles):
+        raise ValueError("angles must be finite")
+    delta, delta_prime, gamma, gamma_prime = angles
     code = _kernels.trial_codes(
         log.pair_index, log.outcome_d, log.outcome_g, len(PAIR_LABELS)
     )
@@ -179,20 +187,61 @@ def _parse_trial_row(line: str, number: int):
     return _TRIAL_ROW_CODES[row]
 
 
+def _canonical_row_codes(buf, starts, ends):
+    """Row code of each line ``buf[starts[i]:ends[i]]``, and whether the
+    line is the canonical body row of that code (``_TRIAL_ROWS``).
+
+    A canonical row is ``d[']g['],S1,S1`` with each S a sign byte: the
+    primes at ``start + 1`` and ``end - 7`` name the pair and fix the
+    length (8 to 10 bytes), the signs at ``end - 5`` and ``end - 2`` are
+    the outcomes, and every other byte is fixed.
+    """
+
+    def column(offsets):
+        # a short line may point outside the file; its length check fails
+        return np.take(buf, offsets, mode="clip")
+
+    primed_d = column(starts + 1) == ord("'")
+    primed_g = column(ends - 7) == ord("'")
+    sign_d = column(ends - 5)
+    sign_g = column(ends - 2)
+    minus_d = sign_d == ord("-")
+    minus_g = sign_g == ord("-")
+    canonical = ends - starts == 8 + primed_d.view(np.uint8) + primed_g
+    canonical &= column(starts) == ord("d")
+    canonical &= column(starts + 1 + primed_d) == ord("g")
+    for offset, byte in ((6, ","), (4, "1"), (3, ","), (1, "1")):
+        canonical &= column(ends - offset) == ord(byte)
+    canonical &= (minus_d | (sign_d == ord("+"))) & (minus_g | (sign_g == ord("+")))
+    # PAIR_LABELS lists the pairs as 2 * (d primed) + (g primed), and
+    # trial_codes reads an outcome as -1 exactly when it is negative
+    code = _kernels.trial_codes(
+        primed_d.view(np.uint8) << 1 | primed_g.view(np.uint8),
+        -minus_d.view(np.int8),
+        -minus_g.view(np.int8),
+        len(PAIR_LABELS),
+    )
+    return code, canonical
+
+
 def read_trials_csv(path: str) -> harness.TrialLog:
     """Parse a trial CSV; malformed content raises UsageError citing the
-    physical 1-based line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            # only "\n" ends a physical line; str.splitlines also breaks at "\f"
-            lines = fh.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"input is not UTF-8 text: {exc}") from None
-    if lines[-1] == "":  # the newline that ends the file starts no line
-        lines.pop()
-    if not lines:
+    physical 1-based line number.  As in text mode, "\r\n" and a lone
+    "\r" end a line like "\n"; no other character does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"input is not UTF-8 text: {exc}") from None
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if data and not data.endswith(b"\n"):  # a last line without its newline
+        ends = np.append(ends, len(data))
+    if not len(ends):
         raise UsageError("line 1: missing angles header")
-    match = _ANGLE_HEADER_RE.match(lines[0])
+    match = _ANGLE_HEADER_RE.match(data[: ends[0]].decode("utf-8"))
     if match is None:
         raise UsageError(
             "line 1: expected '# angles_deg: delta=...,delta_prime=...,"
@@ -206,22 +255,20 @@ def read_trials_csv(path: str) -> harness.TrialLog:
         raise UsageError("line 1: angles must be numeric") from None
     if not all(math.isfinite(a) for a in (delta, delta_prime, gamma, gamma_prime)):
         raise UsageError("line 1: angles must be finite")
-    if len(lines) < 2 or lines[1] != TRIAL_CSV_COLUMNS:
+    if len(ends) < 2 or data[ends[0] + 1 : ends[1]] != TRIAL_CSV_COLUMNS.encode():
         raise UsageError(f"line 2: expected header {TRIAL_CSV_COLUMNS!r}")
 
-    body = lines[2:]
-    codes = list(map(_TRIAL_ROW_CODES.get, body))
-    if None in codes:
-        # blank, lenient (" +1", "01") or malformed rows: the row parser
-        # accepts or rejects each one, in file order
-        codes = [
-            _parse_trial_row(line, offset + 3) if code is None else code
-            for offset, (line, code) in enumerate(zip(body, codes))
-        ]
-        codes = [code for code in codes if code is not None]
-    if not codes:
+    starts = ends[1:-1] + 1
+    ends = ends[2:]
+    code, canonical = _canonical_row_codes(buf, starts, ends)
+    # blank, lenient (" +1", "01") or malformed rows: the row parser
+    # accepts or rejects each one, in file order; a blank line has no code
+    for i in np.flatnonzero(~canonical).tolist():
+        row = _parse_trial_row(data[starts[i] : ends[i]].decode("utf-8"), i + 3)
+        code[i] = len(_TRIAL_ROWS) if row is None else row
+    code = code[code < len(_TRIAL_ROWS)]
+    if not len(code):
         raise UsageError("no trial rows found")
-    code = np.array(codes, dtype=np.uint8)
     outcome_d, outcome_g = _kernels.trial_outcomes(code)
     rad = tuple(
         math.radians(a) for a in (delta, delta_prime, gamma, gamma_prime)
@@ -400,6 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze two-particle correlation experiments.",
         epilog="Angles are degrees. Default seed: 0, or the BELLSIM_SEED "
         "environment variable. Exit codes: 0 ok, 2 usage error, 1 runtime failure.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -107,7 +107,12 @@ def chsh_schedule(
 
 @dataclass(frozen=True)
 class TrialLog:
-    """Per-trial settings choices and +-1 outcome pairs."""
+    """Per-trial settings choices and +-1 outcome pairs.
+
+    ``run_trials`` stores ``pair_index`` in ``np.min_scalar_type(len(pairs)
+    - 1)`` (uint8 up to 256 pairs, uint16 up to 65536), so a trial costs 3
+    bytes with its two int8 outcomes; ``cli.read_trials_csv`` gives int64.
+    """
 
     pairs: tuple[tuple[float, float], ...]
     pair_index: np.ndarray
@@ -190,7 +195,8 @@ def run_trials(
         cum = None
         description = f"lhv:{source.name}"
 
-    pair_index = np.empty(n, dtype=np.int64)
+    # the blocks draw int64 indices, as the stream defines them
+    pair_index = np.empty(n, dtype=np.min_scalar_type(len(pairs) - 1))
     outcome_d = np.empty(n, dtype=np.int8)
     outcome_g = np.empty(n, dtype=np.int8)
 

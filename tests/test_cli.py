@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bellsim import harness
+import bellsim
+from bellsim import _kernels, cli, harness
 from bellsim.cli import main, read_trials_csv, write_trials_csv
 
 CANONICAL = ["--angles", "0,-90,135,-135"]
+TRIAL_CSV_HEADER = (
+    "# angles_deg: delta=0.0,delta_prime=-90.0,gamma=135.0,gamma_prime=-135.0"
+)
 
 
 def run(capsys, *argv):
@@ -255,6 +260,187 @@ class TestTrialCsvRoundTrip:
         log = trial_log([0, bad, 1], [1, 1, 1], [1, 1, 1])
         with pytest.raises(ValueError, match="pair index"):
             write_trials_csv(str(tmp_path / "t.csv"), log, (0.0, 0.0, 0.0, 0.0))
+
+    def test_numpy_float_angles_write_a_readable_header(self, tmp_path, capsys):
+        log = trial_log([0, 1, 2, 3], [1, -1, 1, -1], [1, 1, -1, -1])
+        angles = (0.0, -90.0, 135.0, -135.0)
+        plain = tmp_path / "plain.csv"
+        numpy = tmp_path / "numpy.csv"
+        write_trials_csv(str(plain), log, angles)
+        write_trials_csv(str(numpy), log, tuple(np.float64(a) for a in angles))
+        assert numpy.read_bytes() == plain.read_bytes()
+        assert plain.read_text().splitlines()[0] == TRIAL_CSV_HEADER
+        code, _, stderr = run(capsys, "analyze", str(numpy))
+        assert (code, stderr) == (0, "")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-np.inf)])
+    def test_non_finite_angle_raises(self, tmp_path, bad):
+        log = trial_log([0], [1], [1])
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="angles must be finite"):
+            write_trials_csv(str(path), log, (0.0, bad, 0.0, 0.0))
+        assert not path.exists()
+
+
+def oracle_read_trials_csv(path):
+    """The trial CSV reader as first written: the whole file decoded as
+    text, one str per line, each looked up in the table of rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise bellsim.UsageError(f"input is not UTF-8 text: {exc}") from None
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise bellsim.UsageError("line 1: missing angles header")
+    match = cli._ANGLE_HEADER_RE.match(lines[0])
+    if match is None:
+        raise bellsim.UsageError(
+            "line 1: expected '# angles_deg: delta=...,delta_prime=...,"
+            "gamma=...,gamma_prime=...'"
+        )
+    try:
+        angles = [float(v) for v in match.groups()]
+    except ValueError:
+        raise bellsim.UsageError("line 1: angles must be numeric") from None
+    if not all(math.isfinite(a) for a in angles):
+        raise bellsim.UsageError("line 1: angles must be finite")
+    if len(lines) < 2 or lines[1] != cli.TRIAL_CSV_COLUMNS:
+        raise bellsim.UsageError(
+            f"line 2: expected header {cli.TRIAL_CSV_COLUMNS!r}"
+        )
+    codes = []
+    for offset, line in enumerate(lines[2:]):
+        code = cli._TRIAL_ROW_CODES.get(line)
+        if code is None:
+            code = cli._parse_trial_row(line, offset + 3)
+        if code is not None:
+            codes.append(code)
+    if not codes:
+        raise bellsim.UsageError("no trial rows found")
+    code = np.array(codes, dtype=np.uint8)
+    outcome_d, outcome_g = _kernels.trial_outcomes(code)
+    return harness.TrialLog(
+        pairs=harness.chsh_schedule(*(math.radians(a) for a in angles)).pairs,
+        pair_index=(code >> 2).astype(np.int64),
+        outcome_d=outcome_d,
+        outcome_g=outcome_g,
+        source_description=f"file:{path}",
+    )
+
+
+def read_or_message(reader, path):
+    try:
+        return reader(path)
+    except bellsim.UsageError as exc:
+        return str(exc)
+
+
+def one_byte_edits(row):
+    """The row with one byte (any but the newline) inserted, replaced or
+    deleted, in every place."""
+    for at in range(len(row) + 1):
+        for byte in bytes(range(256)).replace(b"\n", b""):
+            yield row[:at] + bytes([byte]) + row[at:]
+            yield row[:at] + bytes([byte]) + row[at + 1:]
+        yield row[:at] + row[at + 1:]
+
+
+EDITED_ROWS = [
+    edit for row in cli._TRIAL_ROWS for edit in one_byte_edits(row.encode())
+]
+canonical_rows = st.sampled_from(cli._TRIAL_ROWS).map(str.encode)
+clean_rows = st.one_of(
+    canonical_rows,
+    st.just(b""),
+    st.sampled_from(
+        ["dg, +1,-1", "dg,01,-1", "d'g,+1,-01", "dg',1,-1", "d'g',+1, -1"]
+    ).map(str.encode),
+    # separators that str.splitlines honours but that end no line here;
+    # int() strips them from the last outcome
+    st.tuples(
+        st.sampled_from(cli._TRIAL_ROWS),
+        st.sampled_from(["\f", "\v", "\u2028", "\x85"]),
+    ).map(lambda t: (t[0] + t[1]).encode()),
+)
+bad_rows = st.one_of(
+    # 7 and 11 bytes long, a bad label, a bad sign, a missing field
+    st.sampled_from(
+        ["dg,+1,-", "d'g',+1,-1x", "dg',+1,+11", "xy,+1,-1", "dg,0,+1",
+         "dg,+1", "dg,+1,-1,", "\ufeffdg,+1,-1", "\fdg,+1,-1", "d'g+1,-1"]
+    ).map(str.encode),
+    st.sampled_from([edit for edit in EDITED_ROWS if edit.isascii()]),
+)
+
+
+@st.composite
+def trial_csv_bytes(draw):
+    rows = st.one_of(clean_rows, bad_rows) if draw(st.booleans()) else clean_rows
+    lines = [TRIAL_CSV_HEADER.encode(), cli.TRIAL_CSV_COLUMNS.encode()]
+    lines += draw(st.lists(rows, max_size=30))
+    corruption = draw(st.sampled_from([None] * 6 + ["bom", "byte"]))
+    if corruption == "bom":
+        lines[0] = "\ufeff".encode() + lines[0]
+    newlines = st.sampled_from([b"\n", b"\r\n", b"\r"])
+    data = b"".join(line + draw(newlines) for line in lines)
+    if draw(st.booleans()):  # no newline after the last line
+        data = data[: -1 - data.endswith(b"\r\n")]
+    if corruption == "byte":
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from([b"\xff", b"\xe2\x80", b"\xc3"]))
+        data = data[:at] + byte + data[at:]
+    return data
+
+
+class TestByteReader:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trial_csv_bytes())
+    @example(data=b"")
+    @example(data=b"\n")
+    @example(data=TRIAL_CSV_HEADER.encode())
+    @example(data=(TRIAL_CSV_HEADER + "\npair,outcome_d,outcome_g").encode())
+    @example(data=(TRIAL_CSV_HEADER + "\npair,outcome_d,outcome_g\nd").encode())
+    def test_matches_the_text_reader(self, tmp_path, data):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        want = read_or_message(oracle_read_trials_csv, str(path))
+        got = read_or_message(read_trials_csv, str(path))
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.pairs == want.pairs
+        assert got.source_description == want.source_description
+        for name in ("pair_index", "outcome_d", "outcome_g"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_canonical_rows_are_exactly_the_row_table(self):
+        # the column compares accept a line exactly when the table holds it
+        lines = [b"", b"d", *(row.encode() for row in cli._TRIAL_ROWS), *EDITED_ROWS]
+        lengths = np.array([len(line) for line in lines])
+        ends = np.cumsum(lengths + 1) - 1
+        buf = np.frombuffer(b"\n".join(lines) + b"\n", dtype=np.uint8)
+        code, canonical = cli._canonical_row_codes(buf, ends - lengths, ends)
+        want = [cli._TRIAL_ROW_CODES.get(line.decode("latin-1")) for line in lines]
+        assert canonical.tolist() == [w is not None for w in want]
+        assert code[canonical].tolist() == [w for w in want if w is not None]
+
+    def test_memory_budget(self, tmp_path, traced_peak):
+        # the file's bytes, line ends and column compares, and the int64
+        # pair index and two int8 outcomes the log returns
+        n = 500_000
+        rad = tuple(math.radians(a) for a in (0.0, -90.0, 135.0, -135.0))
+        log = harness.run_trials(
+            bellsim.make_state(bellsim.StateKind.SPIN_ANTICORRELATED),
+            harness.chsh_schedule(*rad), n, seed=8,
+        )
+        path = tmp_path / "t.csv"
+        write_trials_csv(str(path), log, (0.0, -90.0, 135.0, -135.0))
+        parsed, peak = traced_peak(lambda: read_trials_csv(str(path)))
+        assert np.array_equal(parsed.pair_index, log.pair_index)
+        assert peak <= 72 * n
 
 
 class TestAnalyzeValidation:
@@ -570,6 +756,23 @@ def test_python_dash_m_runs_cli(module):
     assert result.stdout.splitlines()[0].startswith("d_delta:")
 
 
+def test_version():
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "bellsim", "--version"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    declared = re.search(
+        r'^version = "([^"]+)"$', (root / "pyproject.toml").read_text(), re.M
+    ).group(1)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"bellsim {bellsim.__version__}\n"
+    assert bellsim.__version__ == declared
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["chsh-sim", "--bogus"]) == 2
     capsys.readouterr()
@@ -606,11 +809,6 @@ def test_bad_seed_is_usage_error(capsys, monkeypatch, seed_args, env, message):
     )
     assert code == 2
     assert message in stderr
-
-
-TRIAL_CSV_HEADER = (
-    "# angles_deg: delta=0.0,delta_prime=-90.0,gamma=135.0,gamma_prime=-135.0"
-)
 
 
 @pytest.mark.parametrize(

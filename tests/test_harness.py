@@ -121,6 +121,38 @@ class TestRunTrials:
         pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(300))
         assert_lhv_block_matches_per_pair_masks(pairs, policy)
 
+    @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (300, np.uint16)])
+    def test_pair_index_is_stored_narrow(self, n_pairs, dtype):
+        # the blocks draw int64 indices; the log keeps the same values in
+        # the narrowest dtype that holds range(n_pairs)
+        n = int(2.5 * BLOCK_SIZE)
+        pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(n_pairs))
+        schedule = SettingsSchedule(pairs=pairs)
+        log = run_trials(SINGLET, schedule, n, seed=21)
+        assert log.pair_index.dtype == dtype
+
+        cum = harness._quantum_cumulative(SINGLET, schedule.pairs)
+        children = np.random.SeedSequence(21).spawn(math.ceil(n / BLOCK_SIZE))
+        assembled = np.empty(n, dtype=np.int64)
+        for block, (start, stop) in enumerate(harness._block_slices(n)):
+            idx, _, _ = harness._generate_block(
+                SINGLET, schedule, cum, children[block], start, stop
+            )
+            assembled[start:stop] = idx
+        assert np.array_equal(log.pair_index, assembled)
+        assert assembled.max() == n_pairs - 1
+
+    def test_born_run_and_tally_memory_budget(self, traced_peak):
+        # 3 bytes of log per trial (uint8 pair index, two int8 outcomes)
+        # plus fixed-size block and tally-chunk temporaries
+        n = 1 << 23
+        schedule = chsh_schedule(*SINGLET_CHSH_ANGLES)
+        counts, peak = traced_peak(
+            lambda: tabulate(run_trials(SINGLET, schedule, n, seed=4)).counts
+        )
+        assert counts.sum() == n
+        assert peak <= 3 * n + (16 << 20)
+
 
 def assert_lhv_block_matches_per_pair_masks(pairs, policy):
     # reference: select each pair's trials with a boolean mask; each
