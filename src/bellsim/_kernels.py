@@ -6,8 +6,10 @@ Outcome sampling, coincidence tabulation and the 4-angle grid search.
 A trial has one row code, ``pair << 2 | (d < 0) << 1 | (g < 0)``
 (:func:`trial_codes`, read back by :func:`trial_outcomes`).  The sampler
 sums three 1-D threshold compares as uint8 into the code's low two bits;
-the tally adds the ``bincount`` of the codes of each chunk of about 1M
-trials into one int64 table, so no int64 temporary spans the whole log.
+the tally adds the ``bincount`` of the codes of each chunk of 65536
+trials (``_CHUNK``) into one int64 table, so the intp copy that
+``bincount`` makes of its input stays at 0.5 MiB.  ``lhv`` draws its
+Monte Carlo estimate in chunks of the same size.
 The tally takes the pair index in whatever integer dtype it is given:
 ``harness.run_trials`` stores uint8 for up to 256 pairs, so a four-pair
 log of 3 bytes per trial is never widened.
@@ -71,8 +73,9 @@ def sample_outcomes(u, pair_index, cum):
     return trial_outcomes(c)
 
 
-# trials per tally chunk: the chunk's code and bincount input stay small
-_COUNT_CHUNK = 1 << 20
+# trials per chunk of the tally, the trial CSV writer and
+# lhv.estimate_correlation, whose per-chunk temporaries then stay small
+_CHUNK = 1 << 16
 
 
 def count_outcomes(pair_index, d, g, n_pairs: int):
@@ -84,8 +87,8 @@ def count_outcomes(pair_index, d, g, n_pairs: int):
     d = np.ascontiguousarray(d, dtype=np.int8)
     g = np.ascontiguousarray(g, dtype=np.int8)
     counts = np.zeros(4 * n_pairs, dtype=np.int64)
-    for start in range(0, len(pair_index), _COUNT_CHUNK):
-        chunk = slice(start, start + _COUNT_CHUNK)
+    for start in range(0, len(pair_index), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
         code = trial_codes(pair_index[chunk], d[chunk], g[chunk], n_pairs)
         counts += np.bincount(code, minlength=len(counts))
     return counts.reshape(n_pairs, 4)

@@ -155,13 +155,15 @@ def write_trials_csv(path: str, log: harness.TrialLog, angles_deg) -> None:
     code = _kernels.trial_codes(
         log.pair_index, log.outcome_d, log.outcome_g, len(PAIR_LABELS)
     )
-    lines = [
-        f"# angles_deg: delta={delta!r},delta_prime={delta_prime!r},"
-        f"gamma={gamma!r},gamma_prime={gamma_prime!r}",
-        TRIAL_CSV_COLUMNS,
-        *np.array(_TRIAL_ROWS, dtype=object)[code].tolist(),
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = np.array([row + "\n" for row in _TRIAL_ROWS], dtype=object)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(
+            f"# angles_deg: delta={delta!r},delta_prime={delta_prime!r},"
+            f"gamma={gamma!r},gamma_prime={gamma_prime!r}\n{TRIAL_CSV_COLUMNS}\n"
+        )
+        # a chunk of rows at a time: no list or text of the whole body
+        for start in range(0, len(code), _kernels._CHUNK):
+            fh.write("".join(rows[code[start : start + _kernels._CHUNK]].tolist()))
 
 
 def _parse_trial_row(line: str, number: int):

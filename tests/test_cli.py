@@ -281,6 +281,22 @@ class TestTrialCsvRoundTrip:
             write_trials_csv(str(path), log, (0.0, bad, 0.0, 0.0))
         assert not path.exists()
 
+    def test_memory_budget(self, tmp_path, traced_peak):
+        # a 1-byte row code per trial plus one chunk of rows as text;
+        # the file is about 10 bytes per row
+        n = 500_000
+        rad = tuple(math.radians(a) for a in (0.0, -90.0, 135.0, -135.0))
+        log = harness.run_trials(
+            bellsim.make_state(bellsim.StateKind.SPIN_ANTICORRELATED),
+            harness.chsh_schedule(*rad), n, seed=8,
+        )
+        path = tmp_path / "t.csv"
+        _, peak = traced_peak(
+            lambda: write_trials_csv(str(path), log, (0.0, -90.0, 135.0, -135.0))
+        )
+        assert read_trials_csv(str(path)).pair_index.size == n
+        assert peak <= 16 * n
+
 
 def oracle_read_trials_csv(path):
     """The trial CSV reader as first written: the whole file decoded as

@@ -157,7 +157,7 @@ def test_count_outcomes_matches_oracle(n_pairs, n, seed):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("n_pairs", [4, 300])
 def test_count_outcomes_across_chunk_boundary(offset, n_pairs):
-    n = _kernels._COUNT_CHUNK + offset
+    n = _kernels._CHUNK + offset
     pair_index, d, g = random_log(n + n_pairs, n, n_pairs)
     # the last trial decides whether the final chunk is empty, full or one row
     pair_index[-1] = n_pairs - 1
@@ -165,6 +165,19 @@ def test_count_outcomes_across_chunk_boundary(offset, n_pairs):
     got = _kernels.count_outcomes(pair_index, d, g, n_pairs)
     assert_identical([got], [oracle_count_outcomes(pair_index, d, g, n_pairs)])
     assert got.sum() == n
+
+
+def test_count_outcomes_memory_budget(traced_peak):
+    # bincount copies its input to intp: one 65536-trial chunk of it is
+    # 0.5 MiB, where the whole 10M-trial log would be 80 MB
+    n = 10_000_000
+    rng = np.random.default_rng(9)
+    pair_index = rng.integers(0, 4, size=n, dtype=np.uint8)
+    d = rng.integers(-128, 128, size=n, dtype=np.int8)
+    g = rng.integers(-128, 128, size=n, dtype=np.int8)
+    counts, peak = traced_peak(lambda: _kernels.count_outcomes(pair_index, d, g, 4))
+    assert counts.sum() == n
+    assert peak <= 1 << 20
 
 
 def test_count_outcomes_empty():

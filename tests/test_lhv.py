@@ -1,5 +1,6 @@
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,6 +200,39 @@ class TestBucketedInverseCdf:
         )
         self.assert_matches_interp(u[(u >= 0.0) & (u < 1.0)])
 
+    @pytest.mark.parametrize("held", ["no", "one", "several"])
+    @pytest.mark.parametrize("table", ["mimic", "random"])
+    def test_draws_by_knots_in_their_bucket_match_interp(self, table, held):
+        # the mimic table, and 2**18 random knots with random values, where
+        # a draw on a knot read from the row below it comes out a little off;
+        # the knots in each bucket [edge, next edge) are counted here without
+        # the sampler's table, and the draws sit at the bucket's edges and
+        # middle, and exactly on each of its knots and either side of them
+        if table == "mimic":
+            u_table, lam_table = self.U, self.LAM
+        else:
+            rng = np.random.default_rng(14)
+            u_table = np.unique(np.append(rng.random(1 << 18), 0.0))
+            lam_table = rng.standard_normal(len(u_table))
+        inverse = lhv._BucketedInverseCdf(u_table, lam_table)
+        buckets = 1 << lhv._BucketedInverseCdf.BITS
+        edges = np.arange(buckets + 1) / buckets
+        knots = np.diff(np.searchsorted(u_table, edges, side="left"))
+        kind = {"no": knots == 0, "one": knots == 1, "several": knots > 1}[held]
+        chosen = np.flatnonzero(kind)
+        assert chosen.size
+        on_knot = u_table[np.isin(np.floor(u_table * buckets), chosen)]
+        assert (held == "no") == (on_knot.size == 0)
+        left, right = edges[chosen], edges[chosen + 1]
+        u = np.concatenate([
+            left, (left + right) / 2, np.nextafter(right, 0.0),
+            on_knot, np.nextafter(on_knot, -1.0), np.nextafter(on_knot, 2.0),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        lam = inverse(u)
+        expected = np.interp(u, u_table, lam_table)
+        assert np.array_equal(lam.view(np.int64), expected.view(np.int64))
+
     def test_draws_past_the_last_knot_read_the_last_value(self):
         u_table = np.array([0.0, 0.25, 0.5, 0.75])
         lam_table = np.array([0.0, 1.0, 2.0, 3.0])
@@ -384,6 +418,76 @@ class TestEstimate:
         a = estimate_correlation(quantum_mimic_attempt(), 0.1, 1.3, 5000, seed=11)
         b = estimate_correlation(quantum_mimic_attempt(), 0.1, 1.3, 5000, seed=11)
         assert a == b
+
+    def test_memory_budget(self, traced_peak):
+        # one byte per draw, plus the temporaries of one 65536-draw chunk
+        n = 1_000_000
+        model = quantum_mimic_attempt()
+        est, peak = traced_peak(
+            lambda: estimate_correlation(model, 0.0, math.radians(22.5), n, seed=5)
+        )
+        assert est.n_samples == n
+        assert peak <= 2 * n + (4 << 20)
+
+    def test_response_outside_plus_minus_one_raises(self):
+        # 0 above lam = 0.995, past the last point the model's construction
+        # probes (0.9923), so only the draws can find it
+        model = LhvModel(
+            name="zero_tail",
+            pdf=lambda lam: np.ones(np.shape(lam)),
+            sample=lambda rng, n: rng.uniform(0.0, 1.0, n),
+            response_d=lambda lam, angle: np.where(lam < 0.995, 1, 0),
+            response_g=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
+            support=(0.0, 1.0),
+        )
+        with pytest.raises(
+            ValueError, match=r"response of 'zero_tail' returned values outside \+-1"
+        ):
+            estimate_correlation(model, 0.0, 0.0, 10_000, seed=0)
+
+
+def oracle_estimate_correlation(model, delta, gamma, n, seed):
+    """``estimate_correlation`` as first written: one draw of all n lam
+    values and numpy's mean and std of the float64 products."""
+    rng = np.random.default_rng(seed)
+    lam = model.sample(rng, n)
+    products = (model.response_d(lam, delta) * model.response_g(lam, gamma)).astype(
+        np.float64
+    )
+    mean = float(products.mean())
+    std_error = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return lhv.CorrelationEstimate(mean=mean, std_error=std_error, n_samples=n)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 7, 65535, 65536, 65537, 3 * 65536 + 5, 1_000_003]
+)
+@pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
+def test_streamed_estimate_matches_oracle(model, n):
+    got = estimate_correlation(model, 0.3, 1.1, n, seed=n)
+    want = oracle_estimate_correlation(model, 0.3, 1.1, n, seed=n)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 300_000),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([None, 128, 1000]),
+)
+def test_pairwise_sum_matches_numpy(n, seed, two_valued, leaf):
+    # the estimate's variance rests on numpy summing a float64 array along
+    # this split; two_valued draws arrays like its squared deviations
+    rng = np.random.default_rng(seed)
+    if two_valued:
+        x = np.take(rng.random(2), rng.random(n) < rng.random())
+    else:
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    with mock.patch.object(lhv, "_CHUNK", leaf or lhv._CHUNK):
+        got = lhv._pairwise_sum(lambda a, b: np.add.reduce(x[a:b]), 0, n)
+    assert np.float64(got).tobytes() == np.add.reduce(x).tobytes()
 
 
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
