@@ -8,11 +8,10 @@ A trial has one row code, ``pair << 2 | (d < 0) << 1 | (g < 0)``
 sums three 1-D threshold compares as uint8 into the code's low two bits;
 the tally adds the ``bincount`` of the codes of each chunk of 65536
 trials (``_CHUNK``) into one int64 table, so the intp copy that
-``bincount`` makes of its input stays at 0.5 MiB.  ``lhv`` draws its
-Monte Carlo estimate in chunks of the same size.
+``bincount`` makes of its input stays at 0.5 MiB.
 The tally takes the pair index in whatever integer dtype it is given:
-``harness.run_trials`` stores uint8 for up to 256 pairs, so a four-pair
-log of 3 bytes per trial is never widened.
+``harness.run_trials`` and ``cli.read_trials_csv`` store uint8 for up to
+256 pairs, so a four-pair log of 3 bytes per trial is never widened.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ def sample_outcomes(u, pair_index, cum):
     return trial_outcomes(c)
 
 
-# trials per chunk of the tally, the trial CSV writer and
-# lhv.estimate_correlation, whose per-chunk temporaries then stay small
+# trials per chunk of the tally and the trial CSV writer, whose per-chunk
+# temporaries then stay small
 _CHUNK = 1 << 16
 
 

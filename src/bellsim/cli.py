@@ -278,7 +278,7 @@ def read_trials_csv(path: str) -> harness.TrialLog:
     schedule = harness.chsh_schedule(*rad)
     return harness.TrialLog(
         pairs=schedule.pairs,
-        pair_index=(code >> 2).astype(np.int64),
+        pair_index=code >> 2,
         outcome_d=outcome_d,
         outcome_g=outcome_g,
         source_description=f"file:{path}",
@@ -340,14 +340,14 @@ def cmd_lhv_sim(args) -> int:
         "model": model.name,
         "delta_deg": args.delta,
         "gamma_deg": args.gamma,
-        "mc_mean": estimate.mean,
+        "mc_mean": estimate.e,
         "mc_std_error": estimate.std_error,
-        "n": estimate.n_samples,
+        "n": estimate.n,
         "seed": seed,
     }
     print(
         f"{model.name}: E({args.delta} deg, {args.gamma} deg) = "
-        f"{estimate.mean:+.6f} +- {estimate.std_error:.6f}  (n={estimate.n_samples})"
+        f"{estimate.e:+.6f} +- {estimate.std_error:.6f}  (n={estimate.n})"
     )
     if quad is not None:
         result["quadrature"] = quad

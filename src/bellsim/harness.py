@@ -111,7 +111,7 @@ class TrialLog:
 
     ``run_trials`` stores ``pair_index`` in ``np.min_scalar_type(len(pairs)
     - 1)`` (uint8 up to 256 pairs, uint16 up to 65536), so a trial costs 3
-    bytes with its two int8 outcomes; ``cli.read_trials_csv`` gives int64.
+    bytes with its two int8 outcomes, as does ``cli.read_trials_csv``.
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -139,7 +139,8 @@ def _generate_block(source, schedule, cum, child, start, stop):
 
     Blocks are self-contained: a block's content depends only on its
     substream and index range, so blocks can be computed in any order
-    (or on any worker) and assembled into the same log.
+    (or on any worker) and assembled into the same log.  A hidden-variable
+    response outside +-1 raises ValueError.
     """
     pairs = schedule.pairs
     k = len(pairs)
@@ -166,10 +167,32 @@ def _generate_block(source, schedule, cum, child, start, stop):
         for (delta, gamma), end in zip(pairs, np.cumsum(np.bincount(idx, minlength=k))):
             if end > begin:
                 trials = order[begin:end]
-                d[trials] = source.response_d(lam[begin:end], delta)
-                g[trials] = source.response_g(lam[begin:end], gamma)
+                for out, response, angle in (
+                    (d, source.response_d, delta), (g, source.response_g, gamma)
+                ):
+                    # checked as returned: an int8 store would wrap 255 to -1
+                    values = np.asarray(response(lam[begin:end], angle))
+                    if not np.all(np.abs(values) == 1):
+                        raise ValueError(
+                            f"response of {source.name!r} returned values outside +-1"
+                        )
+                    out[trials] = values
             begin = end
     return idx, d, g
+
+
+def _blocks(source, schedule: SettingsSchedule, n: int, seed: int):
+    """The blocks of an n-trial run, in order, as (start, stop, idx, d, g);
+    the bound on n is checked at the call, before any block is drawn."""
+    if n < 1:
+        raise UsageError("trials must be >= 1")
+    quantum = isinstance(source, EntangledState)
+    cum = _quantum_cumulative(source, schedule.pairs) if quantum else None
+    children = np.random.SeedSequence(seed).spawn(math.ceil(n / BLOCK_SIZE))
+    return (
+        (start, stop, *_generate_block(source, schedule, cum, child, start, stop))
+        for child, (start, stop) in zip(children, _block_slices(n))
+    )
 
 
 def run_trials(
@@ -184,31 +207,20 @@ def run_trials(
     distribution of the trial's settings pair; hidden-variable sources
     draw one lam per trial and evaluate both responses on it.
     """
-    if n < 1:
-        raise UsageError("trials must be >= 1")
-    pairs = schedule.pairs
-    quantum = isinstance(source, EntangledState)
-    if quantum:
-        cum = _quantum_cumulative(source, pairs)
-        description = f"quantum:{source.kind.value}"
-    else:
-        cum = None
-        description = f"lhv:{source.name}"
-
+    blocks = _blocks(source, schedule, n, seed)
     # the blocks draw int64 indices, as the stream defines them
-    pair_index = np.empty(n, dtype=np.min_scalar_type(len(pairs) - 1))
+    pair_index = np.empty(n, dtype=np.min_scalar_type(len(schedule.pairs) - 1))
     outcome_d = np.empty(n, dtype=np.int8)
     outcome_g = np.empty(n, dtype=np.int8)
-
-    children = np.random.SeedSequence(seed).spawn(math.ceil(n / BLOCK_SIZE))
-    for block, (start, stop) in enumerate(_block_slices(n)):
-        idx, d, g = _generate_block(source, schedule, cum, children[block], start, stop)
+    for start, stop, idx, d, g in blocks:
         pair_index[start:stop] = idx
         outcome_d[start:stop] = d
         outcome_g[start:stop] = g
 
+    quantum = isinstance(source, EntangledState)
+    description = f"quantum:{source.kind.value}" if quantum else f"lhv:{source.name}"
     return TrialLog(
-        pairs=pairs,
+        pairs=schedule.pairs,
         pair_index=pair_index,
         outcome_d=outcome_d,
         outcome_g=outcome_g,
@@ -230,6 +242,14 @@ class PairEstimate:
     e: float
     std_error: float
     n: int
+
+
+def _pair_estimate(label: str, product_sum, n: int) -> tuple[PairEstimate, float]:
+    """E = product_sum / n from n trials whose d*g products sum to
+    product_sum, with its binomial variance (1 - E^2)/n and error."""
+    e = product_sum / n
+    variance = (1.0 - e * e) / n
+    return PairEstimate(label, e, math.sqrt(variance), n), variance
 
 
 @dataclass(frozen=True)
@@ -262,10 +282,9 @@ def analyze_chsh(source: EmpiricalSource) -> ChshAnalysis:
         total = int(row.sum())
         if total == 0:
             raise UsageError(f"no trials recorded for settings pair {label!r}")
-        e = joint_correlation(row) / total
-        var = (1.0 - e * e) / total
+        estimate, var = _pair_estimate(label, joint_correlation(row), total)
         variance += var
-        per_pair.append(PairEstimate(label, e, math.sqrt(var), total))
+        per_pair.append(estimate)
     s_mean = float(chsh_variants([p.e for p in per_pair])[3])
     s_std_error = math.sqrt(variance)
     excess = abs(s_mean) - 2.0

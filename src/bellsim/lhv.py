@@ -16,9 +16,8 @@ Correlations <d*g> are computed two ways:
 * :func:`quadrature_correlation` - midpoint-rule integral of
   ``pdf(lam) * d(lam, delta) * g(lam, gamma)`` over a bounded support,
 * :func:`estimate_correlation` - Monte Carlo average over sampled lam,
-  with its standard error.  It draws in chunks and keeps one byte per
-  draw, and its mean and standard deviation are numpy's of the whole
-  array of products, pairwise sum included, bit for bit.
+  with its binomial standard error: a one-pair run of the trial blocks
+  of :mod:`bellsim.harness`, the one Monte Carlo engine.
 
 Response functions must be vectorized: they receive a float ndarray of
 lam values and a scalar angle, and return a +-1 integer array of the
@@ -34,11 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import _CHUNK
-
 __all__ = [
     "LhvModel",
-    "CorrelationEstimate",
     "UsageError",
     "UnboundedSupportError",
     "quadrature_correlation",
@@ -108,13 +104,6 @@ class LhvModel:
                 raise ValueError("response functions must take exactly (lam, angle)")
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    mean: float
-    std_error: float
-    n_samples: int
-
-
 def _midpoints(support: tuple[float, float], nodes: int) -> tuple[np.ndarray, float]:
     lo, hi = support
     h = (hi - lo) / nodes
@@ -144,48 +133,20 @@ def quadrature_correlation(
 
 def estimate_correlation(
     model: LhvModel, delta: float, gamma: float, n: int, seed: int
-) -> CorrelationEstimate:
+):
     """Monte Carlo estimate of <d*g> from n independent lam draws.
 
-    The draws come from one ``default_rng(seed)`` in calls of at most
-    ``_CHUNK``, so ``model.sample`` must give the same stream however its
-    calls are split, as ``rng.random`` and ``rng.uniform`` do.  A draw
-    keeps only whether its product is -1, 1 byte; a response outside +-1
-    raises ValueError.  The result is that of the float64 products, bit
-    for bit: their sum is an exact integer, and the squared deviations
-    are summed along numpy's pairwise split.
+    The draws are the blocks of ``harness.run_trials`` on the one pair
+    (delta, gamma); only their count of d*g = -1 is kept.  Returns a
+    ``harness.PairEstimate`` "dg" with ``analyze_chsh``'s binomial error.
     """
-    if n < 1:
-        raise UsageError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    negative = np.empty(n, dtype=bool)
-    for start in range(0, n, _CHUNK):
-        lam = model.sample(rng, min(_CHUNK, n - start))
-        d = np.asarray(model.response_d(lam, delta))
-        g = np.asarray(model.response_g(lam, gamma))
-        if not (np.all(np.abs(d) == 1) and np.all(np.abs(g) == 1)):
-            raise ValueError(f"response of {model.name!r} returned values outside +-1")
-        np.not_equal(d, g, out=negative[start : start + len(lam)])
-    mean = (n - 2 * int(np.count_nonzero(negative))) / n
-    # the squared deviation of a +1 and of a -1 product, as numpy rounds them
-    squares = np.array([(1.0 - mean) * (1.0 - mean), (-1.0 - mean) * (-1.0 - mean)])
-    total = _pairwise_sum(
-        lambda a, b: np.add.reduce(np.take(squares, negative[a:b])), 0, n
-    )
-    std_error = math.sqrt(total / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-    return CorrelationEstimate(mean=mean, std_error=std_error, n_samples=n)
+    from . import harness  # harness imports this module
 
-
-def _pairwise_sum(leaf_sum, start: int, stop: int) -> float:
-    """``np.add.reduce`` of elements start..stop of a float64 array, bit for
-    bit, from ``leaf_sum(a, b)``, the ``np.add.reduce`` of elements a..b,
-    for spans of at most ``_CHUNK``: a longer span splits in two where
-    numpy's pairwise sum splits it."""
-    n = stop - start
-    if n <= _CHUNK:
-        return leaf_sum(start, stop)
-    mid = start + n // 2 - n // 2 % 8
-    return _pairwise_sum(leaf_sum, start, mid) + _pairwise_sum(leaf_sum, mid, stop)
+    schedule = harness.SettingsSchedule(((delta, gamma),))
+    negative = 0
+    for _, _, _, d, g in harness._blocks(model, schedule, n, seed):
+        negative += int(np.count_nonzero(d != g))
+    return harness._pair_estimate("dg", n - 2 * negative, n)[0]
 
 
 # how far, in turns, the computed phase of _sign_of_cos must lie from a zero

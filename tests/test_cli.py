@@ -203,10 +203,11 @@ class TestRoundTrip:
         assert parsed.pairs == log.pairs
 
 
-def trial_log(pair_index, d, g):
+def trial_log(pair_index, d, g, index_dtype=np.uint8):
+    # uint8, the pair index dtype of run_trials and read_trials_csv
     return harness.TrialLog(
         pairs=harness.chsh_schedule(0.0, 0.0, 0.0, 0.0).pairs,
-        pair_index=np.asarray(pair_index, dtype=np.int64),
+        pair_index=np.asarray(pair_index, dtype=index_dtype),
         outcome_d=np.asarray(d, dtype=np.int8),
         outcome_g=np.asarray(g, dtype=np.int8),
         source_description="test",
@@ -257,7 +258,7 @@ class TestTrialCsvRoundTrip:
 
     @pytest.mark.parametrize("bad", [4, 7, -1, -5])
     def test_pair_index_outside_the_labels_raises(self, tmp_path, bad):
-        log = trial_log([0, bad, 1], [1, 1, 1], [1, 1, 1])
+        log = trial_log([0, bad, 1], [1, 1, 1], [1, 1, 1], index_dtype=np.int64)
         with pytest.raises(ValueError, match="pair index"):
             write_trials_csv(str(tmp_path / "t.csv"), log, (0.0, 0.0, 0.0, 0.0))
 
@@ -339,7 +340,7 @@ def oracle_read_trials_csv(path):
     outcome_d, outcome_g = _kernels.trial_outcomes(code)
     return harness.TrialLog(
         pairs=harness.chsh_schedule(*(math.radians(a) for a in angles)).pairs,
-        pair_index=(code >> 2).astype(np.int64),
+        pair_index=code >> 2,
         outcome_d=outcome_d,
         outcome_g=outcome_g,
         source_description=f"file:{path}",
@@ -444,7 +445,7 @@ class TestByteReader:
         assert code[canonical].tolist() == [w for w in want if w is not None]
 
     def test_memory_budget(self, tmp_path, traced_peak):
-        # the file's bytes, line ends and column compares, and the int64
+        # the file's bytes, line ends and column compares, and the uint8
         # pair index and two int8 outcomes the log returns
         n = 500_000
         rad = tuple(math.radians(a) for a in (0.0, -90.0, 135.0, -135.0))

@@ -87,7 +87,7 @@ MIMIC_PINNED = [
 ]
 
 LHV_SIM_REPORT_SHA256 = (
-    "b91126198d37968c1181346e8a3ad23116d1bccbc25a8bddf49a7a79cff23a9e"
+    "9aa15a408bacdc006a93cee133ebe9017e206d9259fff2e81c706cb5f399608b"
 )
 
 

@@ -1,6 +1,5 @@
 import inspect
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from bellsim import lhv
+from bellsim import harness, lhv
 from bellsim.lhv import (
     LhvModel,
     UnboundedSupportError,
@@ -391,24 +390,24 @@ class TestQuadrature:
             quadrature_correlation(unbounded, 0.0, 1.0)
         # Monte Carlo still works
         est = estimate_correlation(unbounded, 0.0, 0.0, 10_000, seed=1)
-        assert est.mean == -1.0
+        assert est.e == -1.0
 
 
 class TestEstimate:
     def test_equal_angles_exact(self):
         est = estimate_correlation(sign_model(), 0.7, 0.7, 100_000, seed=2)
-        assert est.mean == -1.0
+        assert est.e == -1.0
         assert est.std_error == 0.0
 
     def test_quarter_turn_consistent_with_zero(self):
         est = estimate_correlation(sign_model(), 0.0, math.pi / 2, 1_000_000, seed=3)
-        assert abs(est.mean) <= 5 * est.std_error
+        assert abs(est.e) <= 5 * est.std_error
 
     def test_single_sample(self):
         est = estimate_correlation(sign_model(), 0.0, 1.0, 1, seed=4)
-        assert est.mean in (-1.0, 1.0)
+        assert est.e in (-1.0, 1.0)
         assert est.std_error == 0.0
-        assert est.n_samples == 1
+        assert est.n == 1
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
@@ -426,37 +425,29 @@ class TestEstimate:
         est, peak = traced_peak(
             lambda: estimate_correlation(model, 0.0, math.radians(22.5), n, seed=5)
         )
-        assert est.n_samples == n
+        assert est.n == n
         assert peak <= 2 * n + (4 << 20)
 
     def test_response_outside_plus_minus_one_raises(self):
-        # 0 above lam = 0.995, past the last point the model's construction
-        # probes (0.9923), so only the draws can find it
-        model = LhvModel(
-            name="zero_tail",
-            pdf=lambda lam: np.ones(np.shape(lam)),
-            sample=lambda rng, n: rng.uniform(0.0, 1.0, n),
-            response_d=lambda lam, angle: np.where(lam < 0.995, 1, 0),
-            response_g=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
-            support=(0.0, 1.0),
-        )
-        with pytest.raises(
-            ValueError, match=r"response of 'zero_tail' returned values outside \+-1"
-        ):
-            estimate_correlation(model, 0.0, 0.0, 10_000, seed=0)
-
-
-def oracle_estimate_correlation(model, delta, gamma, n, seed):
-    """``estimate_correlation`` as first written: one draw of all n lam
-    values and numpy's mean and std of the float64 products."""
-    rng = np.random.default_rng(seed)
-    lam = model.sample(rng, n)
-    products = (model.response_d(lam, delta) * model.response_g(lam, gamma)).astype(
-        np.float64
-    )
-    mean = float(products.mean())
-    std_error = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return lhv.CorrelationEstimate(mean=mean, std_error=std_error, n_samples=n)
+        # a 0 or a 255 above lam = 0.995, past the last point the model's
+        # construction probes (0.9923), so only the draws can find it; stored
+        # as int8, a 255 would read as -1.  Both Monte Carlo entry points
+        # run the check.
+        schedule = harness.chsh_schedule(*harness.SINGLET_CHSH_ANGLES)
+        message = r"response of 'bad_tail' returned values outside \+-1"
+        for bad in (0, 255):
+            model = LhvModel(
+                name="bad_tail",
+                pdf=lambda lam: np.ones(np.shape(lam)),
+                sample=lambda rng, n: rng.uniform(0.0, 1.0, n),
+                response_d=lambda lam, angle: np.where(lam < 0.995, 1, bad),
+                response_g=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
+                support=(0.0, 1.0),
+            )
+            with pytest.raises(ValueError, match=message):
+                estimate_correlation(model, 0.0, 0.0, 10_000, seed=0)
+            with pytest.raises(ValueError, match=message):
+                harness.run_trials(model, schedule, 10_000, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -464,30 +455,13 @@ def oracle_estimate_correlation(model, delta, gamma, n, seed):
 )
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
 def test_streamed_estimate_matches_oracle(model, n):
+    # the oracle: the trials of run_trials on the one pair, and the
+    # binomial error
+    schedule = harness.SettingsSchedule(((0.3, 1.1),))
+    log = harness.run_trials(model, schedule, n, seed=n)
+    e = float(np.mean(log.outcome_d * log.outcome_g.astype(np.float64)))
     got = estimate_correlation(model, 0.3, 1.1, n, seed=n)
-    want = oracle_estimate_correlation(model, 0.3, 1.1, n, seed=n)
-    assert got == want
-    assert repr(got) == repr(want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 300_000),
-    st.integers(0, 2**32 - 1),
-    st.booleans(),
-    st.sampled_from([None, 128, 1000]),
-)
-def test_pairwise_sum_matches_numpy(n, seed, two_valued, leaf):
-    # the estimate's variance rests on numpy summing a float64 array along
-    # this split; two_valued draws arrays like its squared deviations
-    rng = np.random.default_rng(seed)
-    if two_valued:
-        x = np.take(rng.random(2), rng.random(n) < rng.random())
-    else:
-        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
-    with mock.patch.object(lhv, "_CHUNK", leaf or lhv._CHUNK):
-        got = lhv._pairwise_sum(lambda a, b: np.add.reduce(x[a:b]), 0, n)
-    assert np.float64(got).tobytes() == np.add.reduce(x).tobytes()
+    assert got == harness.PairEstimate("dg", e, math.sqrt((1 - e * e) / n), n)
 
 
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
@@ -513,7 +487,7 @@ def test_grid_consistency_quadrature_vs_montecarlo(model):
     assert np.all(np.abs(mean - quad) <= 5.0 * std_error + 1e-3)
     for i, angle in enumerate(angles):
         est = estimate_correlation(model, angle, angle, n, seed=1 + i)
-        assert abs(est.mean - quad[i, i]) <= 5.0 * est.std_error + 1e-3
+        assert abs(est.e - quad[i, i]) <= 5.0 * est.std_error + 1e-3
 
 
 def test_builtin_chsh_ceiling_at_canonical_angles():
