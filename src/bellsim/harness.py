@@ -29,7 +29,7 @@ from .inequalities import (
     chsh_variants,
     wigner_terms,
 )
-from .lhv import LhvModel, UsageError
+from .lhv import LhvModel, UsageError, _outcomes
 from .qstate import (
     EntangledState,
     StateKind,
@@ -139,8 +139,9 @@ def _generate_block(source, schedule, cum, child, start, stop):
 
     Blocks are self-contained: a block's content depends only on its
     substream and index range, so blocks can be computed in any order
-    (or on any worker) and assembled into the same log.  A hidden-variable
-    response outside +-1 raises ValueError.
+    (or on any worker) and assembled into the same log.  Hidden-variable
+    outcomes come from ``lhv._outcomes``, the one evaluator, which raises
+    ValueError for a non-finite angle or a response outside +-1.
     """
     pairs = schedule.pairs
     k = len(pairs)
@@ -167,16 +168,7 @@ def _generate_block(source, schedule, cum, child, start, stop):
         for (delta, gamma), end in zip(pairs, np.cumsum(np.bincount(idx, minlength=k))):
             if end > begin:
                 trials = order[begin:end]
-                for out, response, angle in (
-                    (d, source.response_d, delta), (g, source.response_g, gamma)
-                ):
-                    # checked as returned: an int8 store would wrap 255 to -1
-                    values = np.asarray(response(lam[begin:end], angle))
-                    if not np.all(np.abs(values) == 1):
-                        raise ValueError(
-                            f"response of {source.name!r} returned values outside +-1"
-                        )
-                    out[trials] = values
+                d[trials], g[trials] = _outcomes(source, lam[begin:end], delta, gamma)
             begin = end
     return idx, d, g
 

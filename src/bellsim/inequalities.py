@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lhv import LhvModel, _quadrature_nodes, quadrature_correlation
+from .lhv import LhvModel, _quadrature, quadrature_correlation
 from .qstate import (
     CorrelationSign,
     EntangledState,
@@ -166,10 +166,8 @@ class LhvSource(CorrelationSource):
         return quadrature_correlation(self.model, delta, gamma, self.nodes)
 
     def joints(self, delta: float, gamma: float) -> np.ndarray:
-        lam, weight = _quadrature_nodes(self.model, self.nodes)
-        rho = self.model.pdf(lam) * weight
-        d = self.model.response_d(lam, delta)
-        g = self.model.response_g(lam, gamma)
+        pdf, weight, d, g = _quadrature(self.model, delta, gamma, self.nodes)
+        rho = pdf * weight
         return np.array(
             [np.sum(rho[(d == x) & (g == y)]) for x in (1, -1) for y in (1, -1)]
         )

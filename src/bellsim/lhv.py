@@ -21,7 +21,10 @@ Correlations <d*g> are computed two ways:
 
 Response functions must be vectorized: they receive a float ndarray of
 lam values and a scalar angle, and return a +-1 integer array of the
-same shape.
+same shape.  ``_outcomes`` is the one evaluator that calls them, and it
+rejects non-finite angles and values outside +-1: the construction probe,
+the quadrature ``_quadrature`` (shared with ``inequalities.LhvSource``)
+and the trial blocks of :mod:`bellsim.harness` all go through it.
 """
 
 from __future__ import annotations
@@ -90,13 +93,8 @@ class LhvModel:
             probe = nodes[:: max(1, len(nodes) // 128)]
         else:
             probe = np.linspace(-100.0, 100.0, 129)
-        for resp in (self.response_d, self.response_g):
-            for angle in (0.0, 0.7, -2.3):
-                values = np.asarray(resp(probe, angle))
-                if not np.all(np.abs(values) == 1):
-                    raise ValueError(
-                        f"response of {self.name!r} returned values outside +-1"
-                    )
+        for angle in (0.0, 0.7, -2.3):
+            _outcomes(self, probe, angle, angle)
         # locality by construction: responses accept (lam, angle) only
         for resp in (self.response_d, self.response_g):
             n_args = len(inspect.signature(resp).parameters)
@@ -110,8 +108,20 @@ def _midpoints(support: tuple[float, float], nodes: int) -> tuple[np.ndarray, fl
     return lo + (np.arange(nodes) + 0.5) * h, h
 
 
-def _quadrature_nodes(model: LhvModel, nodes: int) -> tuple[np.ndarray, float]:
-    """Midpoint nodes and weight over the support; checks both limits."""
+def _outcomes(model, lam: np.ndarray, delta: float, gamma: float):
+    """(response_d(lam, delta), response_g(lam, gamma)) of ``model``, checked
+    before any caller stores them (an int8 store would wrap 255 to -1)."""
+    if not (math.isfinite(delta) and math.isfinite(gamma)):
+        raise ValueError("analyzer angle must be finite")
+    d = np.asarray(model.response_d(lam, delta))
+    g = np.asarray(model.response_g(lam, gamma))
+    if not (np.all(np.abs(d) == 1) and np.all(np.abs(g) == 1)):
+        raise ValueError(f"response of {model.name!r} returned values outside +-1")
+    return d, g
+
+
+def _quadrature(model: LhvModel, delta: float, gamma: float, nodes: int):
+    """(pdf, weight, d, g) at the midpoint nodes of the bounded support."""
     if nodes < 1000:
         raise UsageError("nodes must be >= 1000")
     if model.support is None:
@@ -119,16 +129,16 @@ def _quadrature_nodes(model: LhvModel, nodes: int) -> tuple[np.ndarray, float]:
             f"model {model.name!r} has unbounded support; "
             "quadrature unavailable, use estimate_correlation"
         )
-    return _midpoints(model.support, nodes)
+    lam, weight = _midpoints(model.support, nodes)
+    return (model.pdf(lam), weight, *_outcomes(model, lam, delta, gamma))
 
 
 def quadrature_correlation(
     model: LhvModel, delta: float, gamma: float, nodes: int = 4096
 ) -> float:
     """Midpoint-rule integral of pdf(lam) * d(lam, delta) * g(lam, gamma)."""
-    lam, weight = _quadrature_nodes(model, nodes)
-    products = model.response_d(lam, delta) * model.response_g(lam, gamma)
-    return float(np.sum(model.pdf(lam) * products) * weight)
+    pdf, weight, d, g = _quadrature(model, delta, gamma, nodes)
+    return float(np.sum(pdf * (d * g)) * weight)
 
 
 def estimate_correlation(

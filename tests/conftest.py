@@ -1,6 +1,9 @@
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from bellsim.lhv import LhvModel
 
 
 @pytest.fixture
@@ -19,3 +22,22 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def bad_tail():
+    """A model whose response_d returns ``bad`` above lam = 0.995, past the
+    last point its construction probes (0.9923), so only the evaluations
+    that follow can find it; stored as int8, a 255 would read as -1."""
+
+    def make(bad):
+        return LhvModel(
+            name="bad_tail",
+            pdf=lambda lam: np.ones(np.shape(lam)),
+            sample=lambda rng, n: rng.uniform(0.0, 1.0, n),
+            response_d=lambda lam, angle: np.where(lam < 0.995, 1, bad),
+            response_g=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
+            support=(0.0, 1.0),
+        )
+
+    return make

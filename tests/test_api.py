@@ -126,6 +126,49 @@ def test_every_chsh_sum_reads_chsh_variants(monkeypatch):
         assert calls, f"{name} does not call chsh_variants"
 
 
+def test_every_response_call_goes_through_lhv_outcomes():
+    # a model's responses are evaluated, and checked, in one place
+    from bellsim import harness, inequalities, lhv
+
+    callers = []
+    base = lhv.sign_model()
+
+    def recording(response):
+        def respond(lam, angle):
+            callers.append(inspect.currentframe().f_back.f_code)
+            return response(lam, angle)
+
+        return respond
+
+    def build():
+        return lhv.LhvModel(
+            name="recorded",
+            pdf=base.pdf,
+            sample=base.sample,
+            response_d=recording(base.response_d),
+            response_g=recording(base.response_g),
+            support=base.support,
+        )
+
+    model = build()
+    schedule = harness.chsh_schedule(*harness.SINGLET_CHSH_ANGLES)
+    evaluators = {
+        "LhvModel": build,
+        "quadrature_correlation": lambda: lhv.quadrature_correlation(model, 0.1, 0.7),
+        "LhvSource.joints": lambda: inequalities.LhvSource(model).joints(0.1, 0.7),
+        "run_trials": lambda: harness.run_trials(model, schedule, 1000, seed=1),
+        "estimate_correlation": lambda: lhv.estimate_correlation(
+            model, 0.1, 0.7, 1000, seed=1
+        ),
+    }
+    for name, evaluate in evaluators.items():
+        callers.clear()
+        evaluate()
+        assert callers, f"{name} evaluates no response"
+        others = {code.co_name for code in callers if code is not lhv._outcomes.__code__}
+        assert others == set(), f"{name} calls responses outside lhv._outcomes"
+
+
 def test_inequality_report_holds_only_what_is_read():
     import dataclasses
 

@@ -503,8 +503,9 @@ class TestWigner:
 
 
 class TestLhvSource:
-    # correlation and joints share one quadrature-node helper, so both
-    # refuse what quadrature cannot do, with the same errors
+    # correlation and joints share one node evaluation, lhv._quadrature, so
+    # both refuse what quadrature cannot do, and what a model must not
+    # return, with the same errors
     @pytest.mark.parametrize("method", ["correlation", "joints"])
     def test_unbounded_model_is_refused(self, method):
         unbounded = LhvModel(
@@ -522,6 +523,20 @@ class TestLhvSource:
     def test_node_floor(self, method):
         with pytest.raises(ValueError, match="nodes must be >= 1000"):
             getattr(LhvSource(sign_model(), nodes=999), method)(0.0, 1.0)
+
+    @pytest.mark.parametrize("method", ["correlation", "joints"])
+    @pytest.mark.parametrize("bad", [0, 255])
+    def test_response_outside_plus_minus_one_is_refused(self, method, bad, bad_tail):
+        # unchecked, a 255 tail reads E = 2.240 and joints that sum to 0.9951
+        message = r"response of 'bad_tail' returned values outside \+-1"
+        with pytest.raises(ValueError, match=message):
+            getattr(LhvSource(bad_tail(bad)), method)(0.0, 0.0)
+
+    @pytest.mark.parametrize("method", ["correlation", "joints"])
+    @pytest.mark.parametrize("delta, gamma", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_angle_is_refused(self, method, delta, gamma):
+        with pytest.raises(ValueError, match="analyzer angle must be finite"):
+            getattr(LhvSource(sign_model()), method)(delta, gamma)
 
 
 class TestEmpiricalSource:

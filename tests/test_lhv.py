@@ -428,26 +428,35 @@ class TestEstimate:
         assert est.n == n
         assert peak <= 2 * n + (4 << 20)
 
-    def test_response_outside_plus_minus_one_raises(self):
-        # a 0 or a 255 above lam = 0.995, past the last point the model's
-        # construction probes (0.9923), so only the draws can find it; stored
-        # as int8, a 255 would read as -1.  Both Monte Carlo entry points
-        # run the check.
+    def test_response_outside_plus_minus_one_raises(self, bad_tail):
+        # both Monte Carlo entry points and the quadrature run the check
         schedule = harness.chsh_schedule(*harness.SINGLET_CHSH_ANGLES)
         message = r"response of 'bad_tail' returned values outside \+-1"
         for bad in (0, 255):
-            model = LhvModel(
-                name="bad_tail",
-                pdf=lambda lam: np.ones(np.shape(lam)),
-                sample=lambda rng, n: rng.uniform(0.0, 1.0, n),
-                response_d=lambda lam, angle: np.where(lam < 0.995, 1, bad),
-                response_g=lambda lam, angle: np.ones(np.shape(lam), dtype=np.int8),
-                support=(0.0, 1.0),
-            )
+            model = bad_tail(bad)
             with pytest.raises(ValueError, match=message):
                 estimate_correlation(model, 0.0, 0.0, 10_000, seed=0)
             with pytest.raises(ValueError, match=message):
                 harness.run_trials(model, schedule, 10_000, seed=0)
+            with pytest.raises(ValueError, match=message):
+                quadrature_correlation(model, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "delta, gamma", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
+)
+def test_non_finite_angle_raises(delta, gamma):
+    # the Born path's check and message: unchecked, a nan angle gives
+    # d = -1 on every trial and a quadrature or Monte Carlo E near 0
+    model = sign_model()
+    schedule = harness.SettingsSchedule(((delta, gamma),))
+    message = "analyzer angle must be finite"
+    with pytest.raises(ValueError, match=message):
+        quadrature_correlation(model, delta, gamma)
+    with pytest.raises(ValueError, match=message):
+        estimate_correlation(model, delta, gamma, 1000, seed=1)
+    with pytest.raises(ValueError, match=message):
+        harness.run_trials(model, schedule, 1000, seed=1)
 
 
 @pytest.mark.parametrize(
