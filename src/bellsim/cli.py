@@ -15,8 +15,8 @@ Exit codes: 0 success, 2 usage or validation error, 1 runtime failure.
 The library raises its input errors as ``bellsim.UsageError``, a
 ``ValueError``; this module adds only the checks the library cannot
 make, and maps exactly that class to exit 2.
-The default seed is 0, overridable with --seed or the BELLSIM_SEED
-environment variable.
+The default seed is 0, overridable with --seed; no environment variable
+changes a run.
 
 File formats (stable):
 
@@ -37,14 +37,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
 import numpy as np
 
 from . import __version__, _kernels, harness, inequalities, lhv, qstate
-from .harness import PAIR_LABELS, SettingsPolicy
+from .harness import PAIR_LABELS
 from .lhv import UsageError
 
 __all__ = ["main", "entry_point"]
@@ -57,13 +56,7 @@ _ANGLE_HEADER_RE = re.compile(
 )
 
 
-def _resolve_seed(seed) -> int:
-    if seed is None:
-        text = os.environ.get("BELLSIM_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise UsageError(f"BELLSIM_SEED must be an integer, got {text!r}") from None
+def _resolve_seed(seed: int) -> int:
     if seed < 0:
         raise UsageError("seed must be >= 0")
     return seed
@@ -319,7 +312,7 @@ def cmd_chsh_sim(args) -> int:
     else:
         source = _lhv_model(args.model)
     rad = tuple(math.radians(a) for a in angles_deg)
-    schedule = harness.chsh_schedule(*rad, policy=SettingsPolicy(args.schedule))
+    schedule = harness.chsh_schedule(*rad)
     log = harness.run_trials(source, schedule, args.trials, seed)
     if args.emit_trials:
         write_trials_csv(args.emit_trials, log, angles_deg)
@@ -447,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Simulate and analyze two-particle correlation experiments.",
-        epilog="Angles are degrees. Default seed: 0, or the BELLSIM_SEED "
-        "environment variable. Exit codes: 0 ok, 2 usage error, 1 runtime failure.",
+        epilog="Angles are degrees. Default seed: 0. "
+        "Exit codes: 0 ok, 2 usage error, 1 runtime failure.",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -468,13 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0,-90,135,-135; 0,-45,67.5,-67.5 for photon states)",
     )
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--schedule",
-        choices=["uniform", "round-robin"],
-        default="uniform",
-        help="how each trial picks its settings pair",
-    )
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-trials", metavar="PATH", help="write the trial CSV")
     p.add_argument("--out", metavar="PATH", help="write the report JSON")
     p.set_defaults(func=cmd_chsh_sim)
@@ -484,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0, help="degrees")
     p.add_argument("--gamma", type=float, default=0.0, help="degrees")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes", type=int, default=4096)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_lhv_sim)

@@ -14,7 +14,6 @@ never on how blocks might be distributed over workers.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,6 @@ from .qstate import (
 __all__ = [
     "PAIR_LABELS",
     "SINGLET_CHSH_ANGLES",
-    "SettingsPolicy",
     "SettingsSchedule",
     "chsh_schedule",
     "TrialLog",
@@ -66,17 +64,12 @@ PAIR_LABELS = ("dg", "dg'", "d'g", "d'g'")
 SINGLET_CHSH_ANGLES = (0.0, -math.pi / 2, 3 * math.pi / 4, -3 * math.pi / 4)
 
 
-class SettingsPolicy(enum.Enum):
-    ROUND_ROBIN = "round-robin"
-    UNIFORM_RANDOM = "uniform"
-
-
 @dataclass(frozen=True)
 class SettingsSchedule:
-    """The settings pairs available to a run and how trials pick one."""
+    """The settings pairs available to a run; every trial draws its pair
+    uniformly at random, independently of the source."""
 
     pairs: tuple[tuple[float, float], ...]
-    policy: SettingsPolicy = SettingsPolicy.UNIFORM_RANDOM
 
     def __post_init__(self):
         if len(self.pairs) == 0:
@@ -91,7 +84,6 @@ def chsh_schedule(
     delta_prime: float,
     gamma: float,
     gamma_prime: float,
-    policy: SettingsPolicy = SettingsPolicy.UNIFORM_RANDOM,
 ) -> SettingsSchedule:
     """The four CHSH pairs in role order (dg, dg', d'g, d'g')."""
     return SettingsSchedule(
@@ -101,7 +93,6 @@ def chsh_schedule(
             (delta_prime, gamma),
             (delta_prime, gamma_prime),
         ),
-        policy=policy,
     )
 
 
@@ -134,42 +125,28 @@ def _quantum_cumulative(state: EntangledState, pairs) -> np.ndarray:
     return np.cumsum(joint_distribution(state, delta, gamma)[:, :3], axis=1)
 
 
-def _generate_block(source, schedule, cum, child, start, stop):
-    """Generate one block of trials from its own spawned substream.
+def _generate_block(source, schedule, cum, child, m):
+    """Generate one block of m trials from its own spawned substream.
 
     Blocks are self-contained: a block's content depends only on its
-    substream and index range, so blocks can be computed in any order
-    (or on any worker) and assembled into the same log.  Hidden-variable
+    substream and size, so blocks can be computed in any order (or on
+    any worker) and assembled into the same log.  Hidden-variable
     outcomes come from ``lhv._outcomes``, the one evaluator, which raises
     ValueError for a non-finite angle or a response outside +-1.
     """
-    pairs = schedule.pairs
-    k = len(pairs)
     rng = np.random.default_rng(child)
-    m = stop - start
-    if schedule.policy is SettingsPolicy.UNIFORM_RANDOM:
-        idx = rng.integers(0, k, size=m)
-    else:
-        idx = (start + np.arange(m, dtype=np.int64)) % k
+    idx = rng.integers(0, len(schedule.pairs), size=m)
     if cum is not None:
         u = rng.random(m)
         d, g = _kernels.sample_outcomes(u, idx, cum)
     else:
         lam = np.asarray(source.sample(rng, m), dtype=np.float64)
-        # a stable sort groups each pair's trials in trial order, so every
-        # response sees the same lam values, in the same order, as a mask
-        # would select; on the narrowest key dtype (8 or 16 bits for up to
-        # 65536 pairs) numpy sorts by radix, with the same permutation
-        order = np.argsort(idx.astype(np.min_scalar_type(k - 1)), kind="stable")
-        lam = np.take(lam, order)
         d = np.empty(m, dtype=np.int8)
         g = np.empty(m, dtype=np.int8)
-        begin = 0
-        for (delta, gamma), end in zip(pairs, np.cumsum(np.bincount(idx, minlength=k))):
-            if end > begin:
-                trials = order[begin:end]
-                d[trials], g[trials] = _outcomes(source, lam[begin:end], delta, gamma)
-            begin = end
+        for p, (delta, gamma) in enumerate(schedule.pairs):
+            trials = np.flatnonzero(idx == p)
+            if len(trials):
+                d[trials], g[trials] = _outcomes(source, lam[trials], delta, gamma)
     return idx, d, g
 
 
@@ -182,7 +159,7 @@ def _blocks(source, schedule: SettingsSchedule, n: int, seed: int):
     cum = _quantum_cumulative(source, schedule.pairs) if quantum else None
     children = np.random.SeedSequence(seed).spawn(math.ceil(n / BLOCK_SIZE))
     return (
-        (start, stop, *_generate_block(source, schedule, cum, child, start, stop))
+        (start, stop, *_generate_block(source, schedule, cum, child, stop - start))
         for child, (start, stop) in zip(children, _block_slices(n))
     )
 

@@ -200,7 +200,7 @@ def test_criterion_9_round_trip_determinism(tmp_path, capsys):
     out_of_order = np.empty(n, dtype=np.int8)
     for block, (start, stop) in reversed(blocks):
         _, d, _ = harness._generate_block(
-            state, schedule, cum, children[block], start, stop
+            state, schedule, cum, children[block], stop - start
         )
         out_of_order[start:stop] = d
     assert np.array_equal(out_of_order, log.outcome_d)

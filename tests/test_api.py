@@ -92,7 +92,7 @@ def test_usage_error_has_one_definition(capsys, monkeypatch):
 
 def test_every_chsh_sum_reads_chsh_variants(monkeypatch):
     # the CHSH sign pattern is written once; each S reader must go through it
-    from bellsim import harness, inequalities
+    from bellsim import _kernels, harness, inequalities
 
     calls = []
     original = inequalities.chsh_variants
@@ -103,6 +103,7 @@ def test_every_chsh_sum_reads_chsh_variants(monkeypatch):
 
     monkeypatch.setattr(inequalities, "chsh_variants", spy)
     monkeypatch.setattr(harness, "chsh_variants", spy)
+    monkeypatch.setattr(_kernels, "chsh_variants", spy)
     source = inequalities.QuantumClosedFormSource(
         bellsim.StateKind.SPIN_ANTICORRELATED
     )
@@ -119,6 +120,8 @@ def test_every_chsh_sum_reads_chsh_variants(monkeypatch):
             np.full(16, 1 / 16)
         ),
         "analyze_chsh": lambda: harness.analyze_chsh(counts),
+        "maximize_chsh": lambda: harness.maximize_chsh(source.kind),
+        "grid_max_abs_chsh": lambda: _kernels.grid_max_abs_chsh(np.eye(3)),
     }
     for name, read in readers.items():
         calls.clear()

@@ -15,6 +15,7 @@ import bellsim
 from bellsim import _kernels, cli, harness
 from bellsim.cli import main, read_trials_csv, write_trials_csv
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 CANONICAL = ["--angles", "0,-90,135,-135"]
 TRIAL_CSV_HEADER = (
     "# angles_deg: delta=0.0,delta_prime=-90.0,gamma=135.0,gamma_prime=-135.0"
@@ -117,24 +118,24 @@ class TestChshSim:
         assert code == 2
         assert "unknown model" in stderr
 
-    def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
+    def test_environment_does_not_set_the_seed(self, tmp_path, capsys, monkeypatch):
+        # the seed comes from the command line alone: 0 unless --seed is given
         monkeypatch.setenv("BELLSIM_SEED", "123")
+        argv = ["chsh-sim", "--state", "spin-correlated", "--trials", "5000"]
         out_a = tmp_path / "a.json"
-        code, _, _ = run(
-            capsys, "chsh-sim", "--state", "spin-correlated", "--trials", "5000",
-            "--out", str(out_a),
-        )
-        assert code == 0
+        assert run(capsys, *argv, "--out", str(out_a))[0] == 0
         out_b = tmp_path / "b.json"
-        monkeypatch.delenv("BELLSIM_SEED")
-        run(
-            capsys, "chsh-sim", "--state", "spin-correlated", "--trials", "5000",
-            "--seed", "123", "--out", str(out_b),
+        assert run(capsys, *argv, "--seed", "0", "--out", str(out_b))[0] == 0
+        assert json.loads(out_a.read_text())["seed"] == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_schedule_option_is_gone(self, capsys):
+        # every trial draws its settings pair uniformly at random
+        code, _, stderr = run(
+            capsys, "chsh-sim", "--state", "spin-correlated", "--schedule", "uniform"
         )
-        a = json.loads(out_a.read_text())
-        b = json.loads(out_b.read_text())
-        assert a["s_mean"] == b["s_mean"]
-        assert a["seed"] == 123
+        assert code == 2
+        assert "unrecognized arguments: --schedule uniform" in stderr
 
 
 class TestRoundTrip:
@@ -811,21 +812,13 @@ def test_nonfinite_angle_is_usage_error(capsys, argv):
     assert f"error: {argv[-2]} must be finite" in stderr
 
 
-@pytest.mark.parametrize(
-    "seed_args,env,message",
-    [
-        (["--seed", "-1"], None, "seed must be >= 0"),
-        ([], "abc", "BELLSIM_SEED must be an integer"),
-    ],
-)
-def test_bad_seed_is_usage_error(capsys, monkeypatch, seed_args, env, message):
-    if env is not None:
-        monkeypatch.setenv("BELLSIM_SEED", env)
+def test_negative_seed_is_usage_error(capsys):
     code, _, stderr = run(
-        capsys, "chsh-sim", "--state", "spin-correlated", "--trials", "10", *seed_args
+        capsys, "chsh-sim", "--state", "spin-correlated", "--trials", "10",
+        "--seed", "-1",
     )
     assert code == 2
-    assert message in stderr
+    assert "seed must be >= 0" in stderr
 
 
 @pytest.mark.parametrize(
@@ -867,13 +860,20 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv, csv_text, message):
     assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
-def test_too_few_trials_names_empty_pair(capsys):
+def test_too_few_trials_names_empty_pair(tmp_path, capsys):
+    # two trials leave at least two of the four pairs without a trial
+    trials = tmp_path / "trials.csv"
     code, _, stderr = run(
         capsys, "chsh-sim", "--state", "spin-correlated", "--trials", "2",
-        "--schedule", "round-robin",
+        "--emit-trials", str(trials),
     )
     assert code == 2
-    assert "d'g" in stderr
+    label = re.fullmatch(
+        r"error: no trials recorded for settings pair '(.+)'\n", stderr
+    ).group(1)
+    assert label in harness.PAIR_LABELS
+    pair = harness.PAIR_LABELS.index(label)
+    assert pair not in read_trials_csv(str(trials)).pair_index
 
 
 def test_non_utf8_csv_is_usage_error(tmp_path, capsys):
@@ -901,3 +901,22 @@ def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_readme_cli_examples_parse():
+    # every command of README's CLI block, continuation lines joined, is
+    # one the parser takes: a removed option cannot stay in the docs
+    text = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [
+        line.split()[1:] for line in block.splitlines() if line.startswith("bellsim ")
+    ]
+    assert len(commands) >= 10 and ["--version"] in commands
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+        assert code == (0 if argv == ["--version"] else None), argv

@@ -11,7 +11,6 @@ from bellsim.harness import (
     BLOCK_SIZE,
     PAIR_LABELS,
     SINGLET_CHSH_ANGLES,
-    SettingsPolicy,
     SettingsSchedule,
     TrialLog,
     analyze_chsh,
@@ -64,13 +63,6 @@ class TestRunTrials:
             assert set(np.unique(log.outcome_g)) <= {-1, 1}
             assert log.pair_index.min() >= 0 and log.pair_index.max() <= 3
 
-    def test_round_robin_cycles_pairs(self):
-        schedule = chsh_schedule(
-            *SINGLET_CHSH_ANGLES, policy=SettingsPolicy.ROUND_ROBIN
-        )
-        log = run_trials(SINGLET, schedule, 10, seed=0)
-        assert list(log.pair_index) == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
-
     def test_seed_determinism(self):
         schedule = chsh_schedule(*SINGLET_CHSH_ANGLES)
         a = run_trials(SINGLET, schedule, 200_000, seed=12)
@@ -96,7 +88,7 @@ class TestRunTrials:
         assembled_idx = np.empty(n, dtype=np.int64)
         for block, (start, stop) in reversed(blocks):
             idx, d, _ = harness._generate_block(
-                SINGLET, schedule, cum, children[block], start, stop
+                SINGLET, schedule, cum, children[block], stop - start
             )
             assembled_idx[start:stop] = idx
             assembled_d[start:stop] = d
@@ -110,16 +102,14 @@ class TestRunTrials:
         assert np.array_equal(a.outcome_d, b.outcome_d)
         assert np.array_equal(a.outcome_g, b.outcome_g)
 
-    @pytest.mark.parametrize("policy", list(SettingsPolicy))
-    def test_lhv_block_matches_per_pair_masks(self, policy):
+    def test_lhv_block_matches_per_pair_masks(self):
         pairs = ((0.0, 0.4), (1.0, 0.4), (0.0, 0.4), (2.5, -1.0), (0.3, 0.3))
-        assert_lhv_block_matches_per_pair_masks(pairs, policy)
+        assert_lhv_block_matches_per_pair_masks(pairs)
 
-    @pytest.mark.parametrize("policy", list(SettingsPolicy))
-    def test_lhv_block_with_wide_keys_matches_per_pair_masks(self, policy):
-        # 300 pairs: the block groups its trials on 16-bit keys, not 8-bit
+    def test_lhv_block_with_wide_keys_matches_per_pair_masks(self):
+        # 300 pairs, more than a uint8 pair index holds
         pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(300))
-        assert_lhv_block_matches_per_pair_masks(pairs, policy)
+        assert_lhv_block_matches_per_pair_masks(pairs)
 
     @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (300, np.uint16)])
     def test_pair_index_is_stored_narrow(self, n_pairs, dtype):
@@ -136,7 +126,7 @@ class TestRunTrials:
         assembled = np.empty(n, dtype=np.int64)
         for block, (start, stop) in enumerate(harness._block_slices(n)):
             idx, _, _ = harness._generate_block(
-                SINGLET, schedule, cum, children[block], start, stop
+                SINGLET, schedule, cum, children[block], stop - start
             )
             assembled[start:stop] = idx
         assert np.array_equal(log.pair_index, assembled)
@@ -154,7 +144,7 @@ class TestRunTrials:
         assert peak <= 3 * n + (16 << 20)
 
 
-def assert_lhv_block_matches_per_pair_masks(pairs, policy):
+def assert_lhv_block_matches_per_pair_masks(pairs):
     # reference: select each pair's trials with a boolean mask; each
     # response call must see exactly the lam values, in trial order,
     # that the mask selects
@@ -173,13 +163,12 @@ def assert_lhv_block_matches_per_pair_masks(pairs, policy):
         response_d=recording(model.response_d),
         response_g=recording(model.response_g),
     )
-    schedule = SettingsSchedule(pairs=pairs, policy=policy)
+    schedule = SettingsSchedule(pairs=pairs)
     child = np.random.SeedSequence(17)
-    idx, d, g = harness._generate_block(source, schedule, None, child, 3, 70_003)
+    idx, d, g = harness._generate_block(source, schedule, None, child, 70_000)
     # the same substream, drawn in the block's order: pairs, then lam
     rng = np.random.default_rng(np.random.SeedSequence(17))
-    if policy is SettingsPolicy.UNIFORM_RANDOM:
-        assert np.array_equal(idx, rng.integers(0, len(pairs), size=70_000))
+    assert np.array_equal(idx, rng.integers(0, len(pairs), size=70_000))
     lam = model.sample(rng, 70_000)
     expected_d = np.empty(70_000, dtype=np.int8)
     expected_g = np.empty(70_000, dtype=np.int8)
