@@ -9,9 +9,8 @@ sums three 1-D threshold compares as uint8 into the code's low two bits;
 the tally adds the ``bincount`` of the codes of each chunk of 65536
 trials (``_CHUNK``) into one int64 table, so the intp copy that
 ``bincount`` makes of its input stays at 0.5 MiB.
-The tally takes the pair index in whatever integer dtype it is given:
-``harness.run_trials`` and ``cli.read_trials_csv`` store uint8 for up to
-256 pairs, so a four-pair log of 3 bytes per trial is never widened.
+A ``harness.TrialLog`` holds these codes, 1 byte per trial up to 64 pairs;
+the tally takes a pair index in any integer dtype.
 """
 
 from __future__ import annotations

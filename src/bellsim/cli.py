@@ -24,9 +24,9 @@ File formats (stable):
   gamma=<f>,gamma_prime=<f>``, then a ``pair,outcome_d,outcome_g``
   header, then one row per trial with pair in {dg, dg', d'g, d'g'} and
   outcomes written +1/-1.  UTF-8, LF line endings.  The reader also
-  takes CRLF and lone CR.  It recognises the 16 canonical body rows by
-  byte-column compares over all lines at once and parses only the other
-  lines (blank, lenient such as `` +1`` or ``01``, malformed) one by one.
+  takes CRLF and lone CR.  It reads the file in byte chunks of whole
+  lines, recognises the 16 canonical body rows by byte-column compares and
+  parses the other lines (blank, lenient, malformed) one by one.
 * Report JSON: flat object {name, s_mean, s_std_error, per_pair,
   bound, violated_2sigma, violated_5sigma, seed, source}.
 * Scan CSV: header ``theta2_deg,lhs,rhs,margin``.
@@ -137,17 +137,13 @@ _TRIAL_ROW_CODES = {row: code for code, row in enumerate(_TRIAL_ROWS)}
 
 
 def write_trials_csv(path: str, log: harness.TrialLog, angles_deg) -> None:
-    """Write a log as a trial CSV; a non-finite angle, or a pair index
-    outside the four pair labels, raises ValueError, and an outcome is
-    written -1 exactly when it is negative, as the tally reads it."""
+    """Write a log as a trial CSV; a non-finite angle raises ValueError, and
+    a row code outside the 16 rows of the four pair labels IndexError."""
     # a numpy float's repr is "np.float64(...)", which no reader parses
     angles = tuple(float(a) for a in angles_deg)
     if not all(math.isfinite(a) for a in angles):
         raise ValueError("angles must be finite")
     delta, delta_prime, gamma, gamma_prime = angles
-    code = _kernels.trial_codes(
-        log.pair_index, log.outcome_d, log.outcome_g, len(PAIR_LABELS)
-    )
     rows = np.array([row + "\n" for row in _TRIAL_ROWS], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
@@ -155,8 +151,8 @@ def write_trials_csv(path: str, log: harness.TrialLog, angles_deg) -> None:
             f"gamma={gamma!r},gamma_prime={gamma_prime!r}\n{TRIAL_CSV_COLUMNS}\n"
         )
         # a chunk of rows at a time: no list or text of the whole body
-        for start in range(0, len(code), _kernels._CHUNK):
-            fh.write("".join(rows[code[start : start + _kernels._CHUNK]].tolist()))
+        for start in range(0, len(log), _kernels._CHUNK):
+            fh.write("".join(rows[log.code[start : start + _kernels._CHUNK]].tolist()))
 
 
 def _parse_trial_row(line: str, number: int):
@@ -219,63 +215,96 @@ def _canonical_row_codes(buf, starts, ends):
     return code, canonical
 
 
-def read_trials_csv(path: str) -> harness.TrialLog:
-    """Parse a trial CSV; malformed content raises UsageError citing the
-    physical 1-based line number.  As in text mode, "\r\n" and a lone
-    "\r" end a line like "\n"; no other character does."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"input is not UTF-8 text: {exc}") from None
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if data and not data.endswith(b"\n"):  # a last line without its newline
-        ends = np.append(ends, len(data))
-    if not len(ends):
+_READ_CHUNK = 1 << 20  # bytes read from a trial CSV at a time
+
+
+def _utf8_pieces(fh):
+    """A file's bytes in pieces that end after a line break (never inside a
+    "\r\n") or at its end.  A non-UTF-8 piece raises UsageError with the
+    decoder's message, its positions counted from the start of the file."""
+    offset, carry, data = 0, b"", True
+    while data:
+        data = fh.read(_READ_CHUNK)
+        buf = carry + data
+        # a "\r" that ends what was read may be the first half of a "\r\n"
+        end = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
+        piece, carry = (buf[:end], buf[end:]) if data else (buf, b"")
+        try:
+            piece.isascii() or piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = re.sub(r"\d+(?=[-:])", lambda m: str(offset + int(m[0])), str(exc))
+            raise UsageError(f"input is not UTF-8 text: {at}") from None
+        offset += len(piece)
+        if piece:
+            yield piece
+
+
+def _header_angles(lines):
+    """The header angles, in degrees, of a trial CSV's first two lines."""
+    if not lines:
         raise UsageError("line 1: missing angles header")
-    match = _ANGLE_HEADER_RE.match(data[: ends[0]].decode("utf-8"))
+    match = _ANGLE_HEADER_RE.match(lines[0].decode("utf-8"))
     if match is None:
         raise UsageError(
             "line 1: expected '# angles_deg: delta=...,delta_prime=...,"
             "gamma=...,gamma_prime=...'"
         )
     try:
-        delta, delta_prime, gamma, gamma_prime = (
-            float(v) for v in match.groups()
-        )
+        angles = tuple(float(v) for v in match.groups())
     except ValueError:
         raise UsageError("line 1: angles must be numeric") from None
-    if not all(math.isfinite(a) for a in (delta, delta_prime, gamma, gamma_prime)):
+    if not all(math.isfinite(a) for a in angles):
         raise UsageError("line 1: angles must be finite")
-    if len(ends) < 2 or data[ends[0] + 1 : ends[1]] != TRIAL_CSV_COLUMNS.encode():
+    if len(lines) < 2 or lines[1] != TRIAL_CSV_COLUMNS.encode():
         raise UsageError(f"line 2: expected header {TRIAL_CSV_COLUMNS!r}")
+    return angles
 
-    starts = ends[1:-1] + 1
-    ends = ends[2:]
-    code, canonical = _canonical_row_codes(buf, starts, ends)
-    # blank, lenient (" +1", "01") or malformed rows: the row parser
-    # accepts or rejects each one, in file order; a blank line has no code
-    for i in np.flatnonzero(~canonical).tolist():
-        row = _parse_trial_row(data[starts[i] : ends[i]].decode("utf-8"), i + 3)
-        code[i] = len(_TRIAL_ROWS) if row is None else row
-    code = code[code < len(_TRIAL_ROWS)]
+
+def _parse_trial_lines(pieces):
+    """The header angles and the row codes of a trial CSV's pieces."""
+    header, angles, number, code = [], None, 0, np.empty(0, dtype=np.uint8)
+    for piece in pieces:
+        piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        buf = np.frombuffer(piece, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        if not piece.endswith(b"\n"):  # a last line without its newline
+            ends = np.append(ends, len(piece))
+        starts = np.append(0, ends[:-1] + 1)
+        skip = min(2 - len(header), len(ends))  # header lines in the piece
+        header += [piece[a:b] for a, b in zip(starts[:skip], ends[:skip])]
+        if angles is None and len(header) == 2:
+            angles = _header_angles(header)
+        starts, ends = starts[skip:], ends[skip:]
+        chunk, canonical = _canonical_row_codes(buf, starts, ends)
+        # rows that are not canonical, in file order; a blank one has no code
+        for i in np.flatnonzero(~canonical).tolist():
+            line = piece[starts[i] : ends[i]].decode("utf-8")
+            row = _parse_trial_row(line, number + skip + i + 1)
+            chunk[i] = len(_TRIAL_ROWS) if row is None else row
+        number += skip + len(ends)  # the lines read so far
+        chunk = chunk[chunk < len(_TRIAL_ROWS)]
+        # grown in place (no view of it outlives a statement): no second copy
+        code.resize(len(code) + len(chunk), refcheck=False)
+        code[len(code) - len(chunk) :] = chunk
+    return angles or _header_angles(header), code
+
+
+def read_trials_csv(path: str) -> harness.TrialLog:
+    """Parse a trial CSV, ``_READ_CHUNK`` bytes at a time; malformed content
+    raises UsageError citing the physical 1-based line number.  As in text
+    mode, "\r\n" and a lone "\r" end a line like "\n"; no other character does."""
+    with open(path, "rb") as fh:
+        pieces = _utf8_pieces(fh)
+        try:
+            angles, code = _parse_trial_lines(pieces)
+        except UsageError:
+            for _ in pieces:  # a non-UTF-8 byte anywhere is reported first
+                pass
+            raise
     if not len(code):
         raise UsageError("no trial rows found")
-    outcome_d, outcome_g = _kernels.trial_outcomes(code)
-    rad = tuple(
-        math.radians(a) for a in (delta, delta_prime, gamma, gamma_prime)
-    )
-    schedule = harness.chsh_schedule(*rad)
-    return harness.TrialLog(
-        pairs=schedule.pairs,
-        pair_index=code >> 2,
-        outcome_d=outcome_d,
-        outcome_g=outcome_g,
-        source_description=f"file:{path}",
-    )
+    schedule = harness.chsh_schedule(*(math.radians(a) for a in angles))
+    return harness.TrialLog(schedule.pairs, code, f"file:{path}")
 
 
 def _analyze(log: harness.TrialLog, seed, out) -> int:

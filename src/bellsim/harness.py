@@ -98,21 +98,19 @@ def chsh_schedule(
 
 @dataclass(frozen=True)
 class TrialLog:
-    """Per-trial settings choices and +-1 outcome pairs.
-
-    ``run_trials`` stores ``pair_index`` in ``np.min_scalar_type(len(pairs)
-    - 1)`` (uint8 up to 256 pairs, uint16 up to 65536), so a trial costs 3
-    bytes with its two int8 outcomes, as does ``cli.read_trials_csv``.
-    """
+    """Per-trial settings and +-1 outcomes as one ``_kernels.trial_codes``
+    row code per trial (1 byte up to 64 pairs), decoded on each read."""
 
     pairs: tuple[tuple[float, float], ...]
-    pair_index: np.ndarray
-    outcome_d: np.ndarray
-    outcome_g: np.ndarray
+    code: np.ndarray
     source_description: str
 
+    pair_index = property(lambda self: self.code >> 2)
+    outcome_d = property(lambda self: _kernels.trial_outcomes(self.code)[0])
+    outcome_g = property(lambda self: _kernels.trial_outcomes(self.code)[1])
+
     def __len__(self):
-        return len(self.pair_index)
+        return len(self.code)
 
 
 def _block_slices(n: int):
@@ -141,6 +139,8 @@ def _generate_block(source, schedule, cum, child, m):
         d, g = _kernels.sample_outcomes(u, idx, cum)
     else:
         lam = np.asarray(source.sample(rng, m), dtype=np.float64)
+        if len(schedule.pairs) == 1:  # one pair holds every trial: no selection
+            return idx, *_outcomes(source, lam, *schedule.pairs[0])
         d = np.empty(m, dtype=np.int8)
         g = np.empty(m, dtype=np.int8)
         for p, (delta, gamma) in enumerate(schedule.pairs):
@@ -177,31 +177,23 @@ def run_trials(
     draw one lam per trial and evaluate both responses on it.
     """
     blocks = _blocks(source, schedule, n, seed)
-    # the blocks draw int64 indices, as the stream defines them
-    pair_index = np.empty(n, dtype=np.min_scalar_type(len(schedule.pairs) - 1))
-    outcome_d = np.empty(n, dtype=np.int8)
-    outcome_g = np.empty(n, dtype=np.int8)
+    code = np.empty(n, dtype=np.min_scalar_type(4 * len(schedule.pairs) - 1))
     for start, stop, idx, d, g in blocks:
-        pair_index[start:stop] = idx
-        outcome_d[start:stop] = d
-        outcome_g[start:stop] = g
+        code[start:stop] = _kernels.trial_codes(idx, d, g, len(schedule.pairs))
 
     quantum = isinstance(source, EntangledState)
     description = f"quantum:{source.kind.value}" if quantum else f"lhv:{source.name}"
-    return TrialLog(
-        pairs=schedule.pairs,
-        pair_index=pair_index,
-        outcome_d=outcome_d,
-        outcome_g=outcome_g,
-        source_description=description,
-    )
+    return TrialLog(pairs=schedule.pairs, code=code, source_description=description)
 
 
 def tabulate(log: TrialLog) -> EmpiricalSource:
     """Exact per-pair outcome tallies of a trial log, row i for pair i."""
-    counts = _kernels.count_outcomes(
-        log.pair_index, log.outcome_d, log.outcome_g, len(log.pairs)
-    )
+    counts = np.zeros((len(log.pairs), 4), dtype=np.int64)
+    # one decoded chunk at a time: the log is never unpacked whole
+    for start in range(0, len(log), _kernels._CHUNK):
+        code = log.code[start : start + _kernels._CHUNK]
+        d, g = _kernels.trial_outcomes(code)
+        counts += _kernels.count_outcomes(code >> 2, d, g, len(log.pairs))
     return EmpiricalSource(log.pairs, counts)
 
 

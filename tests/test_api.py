@@ -74,6 +74,40 @@ def test_benchmark_kernel_coupling_points():
     assert d.tolist() == [1, -1] and g.tolist() == [1, -1]
 
 
+def test_trial_log_holds_one_byte_per_trial():
+    # the benchmark's born-csv peak memory rests on this: a four-pair log is
+    # its uint8 row codes and nothing else
+    from bellsim import harness
+
+    n = 70_001
+    schedule = harness.chsh_schedule(*harness.SINGLET_CHSH_ANGLES)
+    singlet = bellsim.make_state(bellsim.StateKind.SPIN_ANTICORRELATED)
+    log = harness.run_trials(singlet, schedule, n, seed=1)
+    assert log.code.dtype == np.uint8 and log.code.nbytes == n == len(log)
+
+
+def test_tabulate_counts_chunk_by_chunk(monkeypatch):
+    # bench/test_bench.py replaces count_outcomes; tabulate hands it one
+    # decoded slice of at most _CHUNK trials at a time, so no unpacked
+    # array of the whole log is ever built
+    from bellsim import _kernels, harness
+
+    sizes = []
+    original = _kernels.count_outcomes
+
+    def spy(pair_index, d, g, n_pairs):
+        sizes.append({len(pair_index), len(d), len(g)})
+        return original(pair_index, d, g, n_pairs)
+
+    n = 2 * _kernels._CHUNK + 5
+    schedule = harness.chsh_schedule(*harness.SINGLET_CHSH_ANGLES)
+    singlet = bellsim.make_state(bellsim.StateKind.SPIN_ANTICORRELATED)
+    log = harness.run_trials(singlet, schedule, n, seed=1)
+    monkeypatch.setattr(_kernels, "count_outcomes", spy)
+    assert harness.tabulate(log).counts.sum() == n
+    assert sizes == [{_kernels._CHUNK}, {_kernels._CHUNK}, {5}]
+
+
 def test_usage_error_has_one_definition(capsys, monkeypatch):
     # bench/test_bench.py raises cli.UsageError and expects exit 2; the
     # library raises the same class, public as bellsim.UsageError

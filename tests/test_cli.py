@@ -204,13 +204,16 @@ class TestRoundTrip:
         assert parsed.pairs == log.pairs
 
 
-def trial_log(pair_index, d, g, index_dtype=np.uint8):
-    # uint8, the pair index dtype of run_trials and read_trials_csv
+def trial_log(pair_index, d, g):
+    # the uint8 row codes that run_trials and read_trials_csv store
     return harness.TrialLog(
         pairs=harness.chsh_schedule(0.0, 0.0, 0.0, 0.0).pairs,
-        pair_index=np.asarray(pair_index, dtype=index_dtype),
-        outcome_d=np.asarray(d, dtype=np.int8),
-        outcome_g=np.asarray(g, dtype=np.int8),
+        code=_kernels.trial_codes(
+            np.asarray(pair_index, dtype=np.int64),
+            np.asarray(d, dtype=np.int8),
+            np.asarray(g, dtype=np.int8),
+            len(harness.PAIR_LABELS),
+        ),
         source_description="test",
     )
 
@@ -259,9 +262,9 @@ class TestTrialCsvRoundTrip:
 
     @pytest.mark.parametrize("bad", [4, 7, -1, -5])
     def test_pair_index_outside_the_labels_raises(self, tmp_path, bad):
-        log = trial_log([0, bad, 1], [1, 1, 1], [1, 1, 1], index_dtype=np.int64)
+        # a log holds row codes, so the check is made when they are built
         with pytest.raises(ValueError, match="pair index"):
-            write_trials_csv(str(tmp_path / "t.csv"), log, (0.0, 0.0, 0.0, 0.0))
+            trial_log([0, bad, 1], [1, 1, 1], [1, 1, 1])
 
     def test_numpy_float_angles_write_a_readable_header(self, tmp_path, capsys):
         log = trial_log([0, 1, 2, 3], [1, -1, 1, -1], [1, 1, -1, -1])
@@ -337,13 +340,9 @@ def oracle_read_trials_csv(path):
             codes.append(code)
     if not codes:
         raise bellsim.UsageError("no trial rows found")
-    code = np.array(codes, dtype=np.uint8)
-    outcome_d, outcome_g = _kernels.trial_outcomes(code)
     return harness.TrialLog(
         pairs=harness.chsh_schedule(*(math.radians(a) for a in angles)).pairs,
-        pair_index=code >> 2,
-        outcome_d=outcome_d,
-        outcome_g=outcome_g,
+        code=np.array(codes, dtype=np.uint8),
         source_description=f"file:{path}",
     )
 
@@ -353,6 +352,42 @@ def read_or_message(reader, path):
         return reader(path)
     except bellsim.UsageError as exc:
         return str(exc)
+
+
+def assert_reads_as_the_text_reader(path):
+    """Read path with both readers; they must give the same log or the same
+    message.  Returns it."""
+    want = read_or_message(oracle_read_trials_csv, str(path))
+    got = read_or_message(read_trials_csv, str(path))
+    if isinstance(want, str):
+        assert got == want
+        return want
+    assert got.pairs == want.pairs
+    assert got.source_description == want.source_description
+    for name in ("code", "pair_index", "outcome_d", "outcome_g"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return want
+
+
+def read_in_chunks(tmp_path, monkeypatch, data, chunks):
+    """The text reader's reading of data, after checking that the reader
+    gives it at each read-chunk size in chunks."""
+    path = tmp_path / "chunked.csv"
+    path.write_bytes(data)
+    for chunk in chunks:
+        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        reading = assert_reads_as_the_text_reader(path)
+    return reading
+
+
+def read_in_every_chunk_size(tmp_path, monkeypatch, data):
+    # 1 byte to the whole file: every line end and byte falls on a boundary
+    return read_in_chunks(tmp_path, monkeypatch, data, range(1, len(data) + 2))
+
+
+def crlf(*lines):
+    return "".join(line + "\r\n" for line in lines).encode()
 
 
 def one_byte_edits(row):
@@ -423,16 +458,72 @@ class TestByteReader:
     def test_matches_the_text_reader(self, tmp_path, data):
         path = tmp_path / "t.csv"
         path.write_bytes(data)
-        want = read_or_message(oracle_read_trials_csv, str(path))
-        got = read_or_message(read_trials_csv, str(path))
-        if isinstance(want, str):
-            assert got == want
-            return
-        assert got.pairs == want.pairs
-        assert got.source_description == want.source_description
-        for name in ("pair_index", "outcome_d", "outcome_g"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_reads_as_the_text_reader(path)
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=trial_csv_bytes())
+    def test_matches_the_text_reader_in_small_chunks(
+        self, tmp_path, monkeypatch, chunk, data
+    ):
+        # lines, "\r\n" pairs and UTF-8 faults fall across read boundaries
+        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        assert_reads_as_the_text_reader(path)
+
+    def test_crlf_split_across_a_chunk_boundary(self, tmp_path, monkeypatch):
+        # were a "\r\n" read as two line ends, the bad row would be line 6
+        data = crlf(TRIAL_CSV_HEADER, cli.TRIAL_CSV_COLUMNS, "dg,+1,-1", "dg,+1")
+        split = data.index(b"\r\n", data.index(b"dg,")) + 1  # a read ends at "\r"
+        want = "line 4: expected 3 comma-separated fields"
+        assert read_in_chunks(tmp_path, monkeypatch, data, [split]) == want
+        assert read_in_every_chunk_size(tmp_path, monkeypatch, data) == want
+
+    def test_lone_cr_ends_a_chunk(self, tmp_path, monkeypatch):
+        data = (TRIAL_CSV_HEADER + "\n" + cli.TRIAL_CSV_COLUMNS
+                + "\ndg,+1,-1\rd'g,+1\r").encode()
+        split = data.index(b"\r") + 1
+        want = "line 4: expected 3 comma-separated fields"
+        assert read_in_chunks(tmp_path, monkeypatch, data, [split]) == want
+        assert read_in_every_chunk_size(tmp_path, monkeypatch, data) == want
+
+    def test_lone_cr_file(self, tmp_path, monkeypatch):
+        rows = ["dg,+1,-1", "d'g',-1,-1", "", "dg',+1,+1", "d'g,-1,+1"]
+        data = "\r".join([TRIAL_CSV_HEADER, cli.TRIAL_CSV_COLUMNS, *rows, ""])
+        log = read_in_every_chunk_size(tmp_path, monkeypatch, data.encode())
+        assert log.code.tolist() == [1, 15, 4, 10]
+
+    def test_malformed_row_opens_a_chunk(self, tmp_path, monkeypatch):
+        rows = ["dg,+1,-1", "d'g,-1,+1", "d'g',+1,+1", "dg,+1,-1x", "dg,+1,-1"]
+        data = "\n".join([TRIAL_CSV_HEADER, cli.TRIAL_CSV_COLUMNS, *rows, ""]).encode()
+        opens = data.index(b"dg,+1,-1x")  # the first read ends just before it
+        want = "line 6: outcome must be +1 or -1"
+        assert read_in_chunks(tmp_path, monkeypatch, data, [opens]) == want
+        assert read_in_every_chunk_size(tmp_path, monkeypatch, data) == want
+
+    @pytest.mark.parametrize("bad, where", [
+        (b"\xff", "byte 0xff in position {}: invalid start byte"),
+        (b"\xe2\x80", "bytes in position {}-{}: invalid continuation byte"),
+    ])
+    def test_non_utf8_byte_in_a_later_chunk(self, tmp_path, monkeypatch, bad, where):
+        # a malformed row in the first chunk: the text reader decodes the
+        # whole file first, so the UTF-8 fault far behind it is reported
+        head = "\n".join([TRIAL_CSV_HEADER, cli.TRIAL_CSV_COLUMNS, "dg,+1", ""])
+        data = (head + "dg,+1,-1\n" * 40).encode() + bad + b"\ndg,+1,-1\n"
+        at = data.index(bad)
+        want = "input is not UTF-8 text: 'utf-8' codec can't decode " + where.format(
+            at, at + 1
+        )
+        assert read_in_chunks(tmp_path, monkeypatch, data, [7, 64, 1 << 20]) == want
+        assert read_in_every_chunk_size(tmp_path, monkeypatch, data) == want
+
+    def test_missing_final_newline(self, tmp_path, monkeypatch):
+        rows = ["dg,+1,-1", "d'g',-1,-1"]
+        data = "\n".join([TRIAL_CSV_HEADER, cli.TRIAL_CSV_COLUMNS, *rows])
+        log = read_in_every_chunk_size(tmp_path, monkeypatch, data.encode())
+        assert log.code.tolist() == [1, 15]
 
     def test_canonical_rows_are_exactly_the_row_table(self):
         # the column compares accept a line exactly when the table holds it
@@ -446,19 +537,20 @@ class TestByteReader:
         assert code[canonical].tolist() == [w for w in want if w is not None]
 
     def test_memory_budget(self, tmp_path, traced_peak):
-        # the file's bytes, line ends and column compares, and the uint8
-        # pair index and two int8 outcomes the log returns
-        n = 500_000
+        # the 1-byte row code per trial that the log returns, plus one read
+        # chunk's bytes, line offsets and column compares, whatever the size
+        # of the file: a bound that two file sizes must both meet
         rad = tuple(math.radians(a) for a in (0.0, -90.0, 135.0, -135.0))
-        log = harness.run_trials(
-            bellsim.make_state(bellsim.StateKind.SPIN_ANTICORRELATED),
-            harness.chsh_schedule(*rad), n, seed=8,
-        )
-        path = tmp_path / "t.csv"
-        write_trials_csv(str(path), log, (0.0, -90.0, 135.0, -135.0))
-        parsed, peak = traced_peak(lambda: read_trials_csv(str(path)))
-        assert np.array_equal(parsed.pair_index, log.pair_index)
-        assert peak <= 72 * n
+        for n in (500_000, 2_000_000):
+            log = harness.run_trials(
+                bellsim.make_state(bellsim.StateKind.SPIN_ANTICORRELATED),
+                harness.chsh_schedule(*rad), n, seed=8,
+            )
+            path = tmp_path / "t.csv"
+            write_trials_csv(str(path), log, (0.0, -90.0, 135.0, -135.0))
+            parsed, peak = traced_peak(lambda: read_trials_csv(str(path)))
+            assert np.array_equal(parsed.code, log.code)
+            assert peak <= n + 8 * cli._READ_CHUNK
 
 
 class TestAnalyzeValidation:

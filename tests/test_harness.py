@@ -105,6 +105,8 @@ class TestRunTrials:
     def test_lhv_block_matches_per_pair_masks(self):
         pairs = ((0.0, 0.4), (1.0, 0.4), (0.0, 0.4), (2.5, -1.0), (0.3, 0.3))
         assert_lhv_block_matches_per_pair_masks(pairs)
+        # one pair, as lhv-sim runs: its responses see lam itself
+        assert_lhv_block_matches_per_pair_masks(((0.4, -1.1),))
 
     def test_lhv_block_with_wide_keys_matches_per_pair_masks(self):
         # 300 pairs, more than a uint8 pair index holds
@@ -114,7 +116,7 @@ class TestRunTrials:
     @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (300, np.uint16)])
     def test_pair_index_is_stored_narrow(self, n_pairs, dtype):
         # the blocks draw int64 indices; the log keeps the same values in
-        # the narrowest dtype that holds range(n_pairs)
+        # row codes of the narrowest dtype that holds range(4 * n_pairs)
         n = int(2.5 * BLOCK_SIZE)
         pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(n_pairs))
         schedule = SettingsSchedule(pairs=pairs)
@@ -133,15 +135,15 @@ class TestRunTrials:
         assert assembled.max() == n_pairs - 1
 
     def test_born_run_and_tally_memory_budget(self, traced_peak):
-        # 3 bytes of log per trial (uint8 pair index, two int8 outcomes)
-        # plus fixed-size block and tally-chunk temporaries
+        # a 1-byte row code per trial plus fixed-size block and tally-chunk
+        # temporaries
         n = 1 << 23
         schedule = chsh_schedule(*SINGLET_CHSH_ANGLES)
         counts, peak = traced_peak(
             lambda: tabulate(run_trials(SINGLET, schedule, n, seed=4)).counts
         )
         assert counts.sum() == n
-        assert peak <= 3 * n + (16 << 20)
+        assert peak <= n + (16 << 20)
 
 
 def assert_lhv_block_matches_per_pair_masks(pairs):
@@ -204,9 +206,7 @@ class TestTabulate:
     def test_empty_log(self):
         log = TrialLog(
             pairs=((0.0, 0.0),),
-            pair_index=np.zeros(0, dtype=np.int64),
-            outcome_d=np.zeros(0, dtype=np.int8),
-            outcome_g=np.zeros(0, dtype=np.int8),
+            code=np.zeros(0, dtype=np.uint8),
             source_description="empty",
         )
         assert np.all(tabulate(log).counts == 0)
