@@ -1,11 +1,12 @@
 """Hot numeric kernels, vectorised with numpy.
 
-Outcome sampling, coincidence tabulation and the 4-angle grid search.
-``bench/run.py`` times each of them as its own layer.
+Outcome sampling, coincidence tabulation and the 4-angle grid search;
+``bench/run.py`` times the last two as layers of their own.
 
 A trial has one row code, ``pair << 2 | (d < 0) << 1 | (g < 0)``
-(:func:`trial_codes`, read back by :func:`trial_outcomes`).  The sampler
-sums three 1-D threshold compares as uint8 into the code's low two bits;
+(:func:`trial_codes`, read back by :func:`trial_outcomes`).  The Born
+sampler gathers most draws' codes from a bucket table (Chen & Asau's
+guide table) and compares only draws in buckets that hold a threshold;
 the tally adds the ``bincount`` of the codes of each chunk of 65536
 trials (``_CHUNK``) into one int64 table, so the intp copy that
 ``bincount`` makes of its input stays at 0.5 MiB.
@@ -23,6 +24,8 @@ __all__ = [
     "backend",
     "trial_codes",
     "trial_outcomes",
+    "bucket_table",
+    "sample_codes",
     "sample_outcomes",
     "count_outcomes",
     "grid_max_abs_chsh",
@@ -57,20 +60,54 @@ def trial_outcomes(code):
     return 1 - (low & 2), 1 - 2 * (low & 1)
 
 
+def bucket_table(cum):
+    """The (k, w) bucket table of :func:`sample_codes`, w the largest power
+    of two with k * w <= 2^14 (at least 1).  Entry [p, b] is the row code
+    ``p << 2 | #{j: cum[p, j] <= u}`` of every u in [b / w, (b + 1) / w),
+    or the marker 4k, never a code in the dtype ``min_scalar_type(4k)``,
+    when a threshold of pair p lies strictly inside that bucket."""
+    cum = np.asarray(cum, dtype=np.float64)
+    k = len(cum)
+    w = 1 << max(0, ((1 << 14) // max(k, 1)).bit_length() - 1)
+    t = cum[:, None, :]
+    lo = np.arange(w)[:, None] / w
+    count = (t <= lo).sum(axis=2)
+    inside = ((t > lo) & (t < lo + 1 / w)).any(axis=2)
+    code = np.arange(k)[:, None] << 2 | count
+    return np.where(inside, 4 * k, code).astype(np.min_scalar_type(4 * k))
+
+
+def sample_codes(u, pair_index, cum, table):
+    """Row codes of draws u in [0, 1) with int64 pair indices, in the dtype
+    of ``table = bucket_table(cum)``: one gather at ``floor(u * w) | pair <<
+    log2(w)``, then the exact ``u >= cum[pair, j]`` compares for marked draws."""
+    key = (u * table.shape[1]).astype(np.intp)
+    key |= pair_index << (table.shape[1].bit_length() - 1)
+    code = np.take(table.ravel(), key)
+    marked = np.flatnonzero(code == 4 * len(table))
+    code[marked] = _compared_codes(u[marked], pair_index[marked], cum)
+    return code
+
+
+def _compared_codes(u, pair_index, cum):
+    return pair_index << 2 | (u[:, None] >= cum[pair_index]).sum(axis=1)
+
+
 def sample_outcomes(u, pair_index, cum):
     """Map uniform draws to +-1 outcome pairs via per-pair cumulative probs.
 
     ``cum`` has one row per settings pair holding the cumulative sums
     (p_pp, p_pp+p_pm, p_pp+p_pm+p_mp); the number of them at or below a
-    draw is the low two bits of the trial's row code.
+    draw is the low two bits of the trial's row code.  Draws outside
+    [0, 1), which would key another pair's bucket, are compared exactly.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
     cum = np.ascontiguousarray(cum, dtype=np.float64)
-    c = np.zeros(u.shape, dtype=np.uint8)
-    for column in cum.T:
-        c += u >= column[pair_index]
-    return trial_outcomes(c)
+    inside = (u >= 0.0) & (u < 1.0)
+    code = sample_codes(np.where(inside, u, 0.0), pair_index, cum, bucket_table(cum))
+    code[~inside] = _compared_codes(u[~inside], pair_index[~inside], cum)
+    return trial_outcomes(code)
 
 
 # trials per chunk of the tally and the trial CSV writer, whose per-chunk

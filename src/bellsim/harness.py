@@ -118,48 +118,50 @@ def _block_slices(n: int):
         yield start, min(start + BLOCK_SIZE, n)
 
 
-def _quantum_cumulative(state: EntangledState, pairs) -> np.ndarray:
+def _born_tables(state: EntangledState, pairs):
+    """The Born cumulative table of the pairs and its bucket table."""
     delta, gamma = np.array(pairs, dtype=np.float64).T
-    return np.cumsum(joint_distribution(state, delta, gamma)[:, :3], axis=1)
+    cum = np.cumsum(joint_distribution(state, delta, gamma)[:, :3], axis=1)
+    return cum, _kernels.bucket_table(cum)
 
 
-def _generate_block(source, schedule, cum, child, m):
-    """Generate one block of m trials from its own spawned substream.
+def _generate_block(source, schedule, born, child, m):
+    """Generate the row codes of one block of m trials from its substream.
 
     Blocks are self-contained: a block's content depends only on its
     substream and size, so blocks can be computed in any order (or on
-    any worker) and assembled into the same log.  Hidden-variable
-    outcomes come from ``lhv._outcomes``, the one evaluator, which raises
-    ValueError for a non-finite angle or a response outside +-1.
+    any worker) and assembled into the same log.  Born trials read
+    ``born``, the run's ``_born_tables``; hidden-variable outcomes come
+    from ``lhv._outcomes``, the one evaluator, which raises ValueError for
+    a non-finite angle or a response outside +-1.
     """
     rng = np.random.default_rng(child)
     idx = rng.integers(0, len(schedule.pairs), size=m)
-    if cum is not None:
-        u = rng.random(m)
-        d, g = _kernels.sample_outcomes(u, idx, cum)
-    else:
-        lam = np.asarray(source.sample(rng, m), dtype=np.float64)
-        if len(schedule.pairs) == 1:  # one pair holds every trial: no selection
-            return idx, *_outcomes(source, lam, *schedule.pairs[0])
-        d = np.empty(m, dtype=np.int8)
-        g = np.empty(m, dtype=np.int8)
-        for p, (delta, gamma) in enumerate(schedule.pairs):
-            trials = np.flatnonzero(idx == p)
-            if len(trials):
-                d[trials], g[trials] = _outcomes(source, lam[trials], delta, gamma)
-    return idx, d, g
+    if born is not None:
+        return _kernels.sample_codes(rng.random(m), idx, *born)
+    lam = np.asarray(source.sample(rng, m), dtype=np.float64)
+    if len(schedule.pairs) == 1:  # one pair holds every trial: no selection
+        d, g = _outcomes(source, lam, *schedule.pairs[0])
+        return 2 * (d < 0).view(np.uint8) + (g < 0)  # its pair bits are 0
+    d = np.empty(m, dtype=np.int8)
+    g = np.empty(m, dtype=np.int8)
+    for p, (delta, gamma) in enumerate(schedule.pairs):
+        trials = np.flatnonzero(idx == p)
+        if len(trials):
+            d[trials], g[trials] = _outcomes(source, lam[trials], delta, gamma)
+    return _kernels.trial_codes(idx, d, g, len(schedule.pairs))
 
 
 def _blocks(source, schedule: SettingsSchedule, n: int, seed: int):
-    """The blocks of an n-trial run, in order, as (start, stop, idx, d, g);
-    the bound on n is checked at the call, before any block is drawn."""
+    """The blocks of an n-trial run, in order, as (start, stop, code); the
+    bound on n is checked and a Born run's tables are built at the call."""
     if n < 1:
         raise UsageError("trials must be >= 1")
     quantum = isinstance(source, EntangledState)
-    cum = _quantum_cumulative(source, schedule.pairs) if quantum else None
+    born = _born_tables(source, schedule.pairs) if quantum else None
     children = np.random.SeedSequence(seed).spawn(math.ceil(n / BLOCK_SIZE))
     return (
-        (start, stop, *_generate_block(source, schedule, cum, child, stop - start))
+        (start, stop, _generate_block(source, schedule, born, child, stop - start))
         for child, (start, stop) in zip(children, _block_slices(n))
     )
 
@@ -178,8 +180,8 @@ def run_trials(
     """
     blocks = _blocks(source, schedule, n, seed)
     code = np.empty(n, dtype=np.min_scalar_type(4 * len(schedule.pairs) - 1))
-    for start, stop, idx, d, g in blocks:
-        code[start:stop] = _kernels.trial_codes(idx, d, g, len(schedule.pairs))
+    for start, stop, block in blocks:
+        code[start:stop] = block
 
     quantum = isinstance(source, EntangledState)
     description = f"quantum:{source.kind.value}" if quantum else f"lhv:{source.name}"

@@ -154,8 +154,8 @@ def estimate_correlation(
 
     schedule = harness.SettingsSchedule(((delta, gamma),))
     negative = 0
-    for _, _, _, d, g in harness._blocks(model, schedule, n, seed):
-        negative += int(np.count_nonzero(d != g))
+    for _, _, code in harness._blocks(model, schedule, n, seed):
+        negative += int(np.count_nonzero((code + 1) & 2))  # d != g: code 1 or 2
     return harness._pair_estimate("dg", n - 2 * negative, n)[0]
 
 

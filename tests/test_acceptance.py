@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from bellsim import harness
+from bellsim import _kernels, harness
 from bellsim.cli import main
 from bellsim.inequalities import (
     CorrelationSign,
@@ -194,14 +194,14 @@ def test_criterion_9_round_trip_determinism(tmp_path, capsys):
     schedule = harness.chsh_schedule(*rad)
     n = 250_000
     log = harness.run_trials(state, schedule, n, seed=90)
-    cum = harness._quantum_cumulative(state, schedule.pairs)
+    born = harness._born_tables(state, schedule.pairs)
     children = np.random.SeedSequence(90).spawn(math.ceil(n / harness.BLOCK_SIZE))
     blocks = list(enumerate(harness._block_slices(n)))
     out_of_order = np.empty(n, dtype=np.int8)
     for block, (start, stop) in reversed(blocks):
-        _, d, _ = harness._generate_block(
-            state, schedule, cum, children[block], stop - start
+        code = harness._generate_block(
+            state, schedule, born, children[block], stop - start
         )
-        out_of_order[start:stop] = d
+        out_of_order[start:stop] = _kernels.trial_outcomes(code)[0]
     assert np.array_equal(out_of_order, log.outcome_d)
     report(9, "round-trip determinism", f"s_mean={a['s_mean']!r} reproduced bit-for-bit")

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bellsim
-from bellsim import harness, lhv
+from bellsim import _kernels, harness, lhv
 from bellsim.harness import (
     BLOCK_SIZE,
     PAIR_LABELS,
@@ -81,17 +81,17 @@ class TestRunTrials:
         schedule = chsh_schedule(*SINGLET_CHSH_ANGLES)
         log = run_trials(SINGLET, schedule, n, seed=99)
 
-        cum = harness._quantum_cumulative(SINGLET, schedule.pairs)
+        born = harness._born_tables(SINGLET, schedule.pairs)
         children = np.random.SeedSequence(99).spawn(math.ceil(n / BLOCK_SIZE))
         blocks = list(enumerate(harness._block_slices(n)))
         assembled_d = np.empty(n, dtype=np.int8)
         assembled_idx = np.empty(n, dtype=np.int64)
         for block, (start, stop) in reversed(blocks):
-            idx, d, _ = harness._generate_block(
-                SINGLET, schedule, cum, children[block], stop - start
+            code = harness._generate_block(
+                SINGLET, schedule, born, children[block], stop - start
             )
-            assembled_idx[start:stop] = idx
-            assembled_d[start:stop] = d
+            assembled_idx[start:stop] = code >> 2
+            assembled_d[start:stop] = _kernels.trial_outcomes(code)[0]
         assert np.array_equal(assembled_d, log.outcome_d)
         assert np.array_equal(assembled_idx, log.pair_index)
 
@@ -123,13 +123,17 @@ class TestRunTrials:
         log = run_trials(SINGLET, schedule, n, seed=21)
         assert log.pair_index.dtype == dtype
 
-        cum = harness._quantum_cumulative(SINGLET, schedule.pairs)
+        born = harness._born_tables(SINGLET, schedule.pairs)
         children = np.random.SeedSequence(21).spawn(math.ceil(n / BLOCK_SIZE))
         assembled = np.empty(n, dtype=np.int64)
         for block, (start, stop) in enumerate(harness._block_slices(n)):
-            idx, _, _ = harness._generate_block(
-                SINGLET, schedule, cum, children[block], stop - start
+            code = harness._generate_block(
+                SINGLET, schedule, born, children[block], stop - start
             )
+            # the block's codes carry the int64 indices its substream drew
+            rng = np.random.default_rng(children[block])
+            idx = rng.integers(0, n_pairs, size=stop - start)
+            assert np.array_equal(code >> 2, idx)
             assembled[start:stop] = idx
         assert np.array_equal(log.pair_index, assembled)
         assert assembled.max() == n_pairs - 1
@@ -167,7 +171,9 @@ def assert_lhv_block_matches_per_pair_masks(pairs):
     )
     schedule = SettingsSchedule(pairs=pairs)
     child = np.random.SeedSequence(17)
-    idx, d, g = harness._generate_block(source, schedule, None, child, 70_000)
+    code = harness._generate_block(source, schedule, None, child, 70_000)
+    idx = code >> 2
+    d, g = _kernels.trial_outcomes(code)
     # the same substream, drawn in the block's order: pairs, then lam
     rng = np.random.default_rng(np.random.SeedSequence(17))
     assert np.array_equal(idx, rng.integers(0, len(pairs), size=70_000))

@@ -118,11 +118,7 @@ def test_sample_outcomes_matches_oracle(cum, data):
 
 
 def test_sample_outcomes_block_matches_oracle():
-    u, pair_index, cum = random_inputs(5, n=1 << 16)
-    assert_identical(
-        _kernels.sample_outcomes(u, pair_index, cum),
-        oracle_sample_outcomes(u, pair_index, cum),
-    )
+    assert_codes_match_oracle(*random_inputs(5, n=1 << 16))
 
 
 def test_sample_outcomes_empty():
@@ -130,6 +126,134 @@ def test_sample_outcomes_empty():
     d, g = _kernels.sample_outcomes(u, pair_index, cum)
     assert d.shape == g.shape == (0,)
     assert d.dtype == g.dtype == np.int8
+
+
+def assert_codes_match_oracle(u, pair_index, cum):
+    """sample_codes through its bucket table, and sample_outcomes, against
+    the oracle; each code keeps its trial's own pair index."""
+    table = _kernels.bucket_table(cum)
+    code = _kernels.sample_codes(u, pair_index, cum, table)
+    assert code.dtype == table.dtype
+    assert np.array_equal(code >> 2, pair_index)
+    want = oracle_sample_outcomes(u, pair_index, cum)
+    assert_identical(_kernels.trial_outcomes(code), want)
+    assert_identical(_kernels.sample_outcomes(u, pair_index, cum), want)
+    return code
+
+
+def edge_draws(width):
+    """Every bucket edge b / width and its nextafter neighbours in [0, 1)."""
+    edges = np.arange(width) / width
+    draws = np.concatenate([
+        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0),
+        [np.nextafter(1.0, 0.0)],
+    ])
+    return draws[(draws >= 0.0) & (draws < 1.0)]
+
+
+def every_pair(draws, k):
+    """Each draw once for each of k pairs."""
+    return np.tile(draws, k), np.repeat(np.arange(k, dtype=np.int64), len(draws))
+
+
+# one row per case: thresholds on bucket edges (of every width down to 4
+# buckets), zero-probability outcomes (equal thresholds), thresholds at 0
+# and at 1, and rows left out of order as rounding can leave them
+EDGE_ROWS = np.array([
+    [0.25, 0.5, 0.75],
+    [1 / 4096, 2 / 4096, 4095 / 4096],
+    [0.0, 0.0, 1.0],
+    [0.0, 0.5, 0.5],
+    [0.3, 0.3, 0.3],
+    [0.0, 0.0, 0.0],
+    [1.0, 1.0, 1.0],
+    [0.5, np.nextafter(0.5, 0.0), 1.0],
+    [0.7, 0.2, 0.9],
+])
+
+
+def test_bucket_table_marks_only_buckets_that_hold_a_threshold():
+    cum = cumulative([[1, 2, 3, 4], [4, 3, 2, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
+    table = _kernels.bucket_table(cum)
+    assert table.shape == (4, 4096) and table.dtype == np.uint8
+    assert table.nbytes == 16 << 10
+    inside = (cum > 0.0) & (cum < 1.0) & (cum * 4096 % 1 != 0)
+    assert np.count_nonzero(table == 16) == np.count_nonzero(inside)
+    unmarked = table != 16
+    pairs = np.broadcast_to(np.arange(4)[:, None], table.shape)
+    assert np.array_equal((table >> 2)[unmarked], pairs[unmarked])
+
+
+def test_sample_codes_at_bucket_edges_and_their_neighbours():
+    cum = cumulative([[1, 2, 3, 4], [4, 3, 2, 1], [1, 1, 1, 1], [3, 0, 5, 1]])
+    assert_codes_match_oracle(*every_pair(edge_draws(4096), 4), cum)
+
+
+def test_sample_codes_with_thresholds_on_bucket_edges_and_zero_probabilities():
+    cum = EDGE_ROWS
+    table = _kernels.bucket_table(cum)
+    draws = np.concatenate([edge_draws(table.shape[1]), cum.ravel()])
+    draws = np.concatenate([draws, np.nextafter(draws, -1.0), np.nextafter(draws, 2.0)])
+    draws = draws[(draws >= 0.0) & (draws < 1.0)]
+    assert_codes_match_oracle(*every_pair(draws, len(cum)), cum)
+
+
+def test_sample_codes_with_64_pairs_keep_code_255():
+    # 64 pairs fill uint8 with codes: 255 is pair 63's (-1, -1), so the
+    # marker needs a wider table
+    rng = np.random.default_rng(8)
+    cum = cumulative(rng.integers(1, 9, size=(64, 4)))
+    table = _kernels.bucket_table(cum)
+    assert table.dtype == np.uint16 and (table == 256).any()
+    u = rng.random(200_000)
+    pair_index = rng.integers(0, 64, size=len(u))
+    code = assert_codes_match_oracle(u, pair_index, cum)
+    assert (code == 255).any()
+    draws, pairs = every_pair(edge_draws(table.shape[1]), 64)
+    assert_codes_match_oracle(draws, pairs, cum)
+
+
+def test_sample_codes_with_300_pairs_use_a_narrower_table():
+    rng = np.random.default_rng(9)
+    cum = cumulative(rng.integers(1, 9, size=(300, 4)))
+    table = _kernels.bucket_table(cum)
+    assert table.shape == (300, 32) and table.dtype == np.uint16
+    u = rng.random(100_000)
+    assert_codes_match_oracle(u, rng.integers(0, 300, size=len(u)), cum)
+    assert_codes_match_oracle(*every_pair(edge_draws(32), 300), cum)
+
+
+def test_bucket_table_size_is_bounded():
+    rng = np.random.default_rng(10)
+    cum = cumulative(rng.integers(1, 9, size=(16384, 4)))
+    table = _kernels.bucket_table(cum)
+    # one bucket per pair, a uint32 marker above the uint16 codes
+    assert table.size <= 1 << 14 and table.nbytes <= 64 << 10
+    u = rng.random(50_000)
+    assert_codes_match_oracle(u, rng.integers(0, 16384, size=len(u)), cum)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [1.0, -0.5, 2.0, np.nan, np.inf, -np.inf, -0.0, np.nextafter(1.0, 2.0), 1e300],
+)
+def test_sample_outcomes_keep_draws_outside_the_unit_interval_in_their_pair(draw):
+    # a draw at or past 1 would read the next pair's first bucket and a
+    # negative one the previous pair's last; neighbouring rows give other
+    # outcomes there, so a wrapped key shows
+    cum = EDGE_ROWS
+    pair_index = np.arange(len(cum), dtype=np.int64)
+    u = np.full(len(cum), draw)
+    assert_identical(
+        _kernels.sample_outcomes(u, pair_index, cum),
+        oracle_sample_outcomes(u, pair_index, cum),
+    )
+    mixed = np.concatenate([u, np.linspace(0.0, 0.99, len(cum))])
+    pairs = np.concatenate([pair_index, pair_index[::-1]])
+    assert_identical(
+        _kernels.sample_outcomes(mixed, pairs, cum),
+        oracle_sample_outcomes(mixed, pairs, cum),
+    )
 
 
 def random_log(seed, n, n_pairs):
