@@ -3,15 +3,15 @@
 Outcome sampling, coincidence tabulation and the 4-angle grid search;
 ``bench/run.py`` times the last two as layers of their own.
 
-A trial has one row code, ``pair << 2 | (d < 0) << 1 | (g < 0)``
-(:func:`trial_codes`, read back by :func:`trial_outcomes`).  The Born
-sampler gathers most draws' codes from a bucket table (Chen & Asau's
-guide table) and compares only draws in buckets that hold a threshold;
-the tally adds the ``bincount`` of the codes of each chunk of 65536
-trials (``_CHUNK``) into one int64 table, so the intp copy that
+A trial has one uint8 row code, ``4 * pair + 2 * (d < 0) + (g < 0)``,
+written only by :func:`row_code` and read back by :func:`trial_outcomes`;
+a schedule holds at most ``MAX_PAIRS`` = 63 pairs, so every code (at
+most 251) and the bucket table's marker 4k (at most 252) fit in a byte.
+The Born sampler gathers most draws' codes from a bucket table (Chen &
+Asau's guide table) and compares only draws in buckets that hold a
+threshold; the tally adds the ``bincount`` of the codes of each chunk of
+65536 trials (``_CHUNK``) into one int64 table, so the intp copy that
 ``bincount`` makes of its input stays at 0.5 MiB.
-A ``harness.TrialLog`` holds these codes, 1 byte per trial up to 64 pairs;
-the tally takes a pair index in any integer dtype.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .inequalities import chsh_variants
 
 __all__ = [
     "backend",
+    "row_code",
     "trial_codes",
     "trial_outcomes",
     "bucket_table",
@@ -37,60 +38,70 @@ def backend() -> str:
     return "numpy"
 
 
-def trial_codes(pair_index, d, g, n_pairs: int):
-    """Row code ``pair << 2 | (d < 0) << 1 | (g < 0)`` of each trial.
+MAX_PAIRS = 63  # so the codes (at most 251) and the marker 4 * 63 are uint8
 
-    The codes have dtype ``np.min_scalar_type(4 * n_pairs - 1)``.  A pair
-    index outside ``range(n_pairs)`` raises ValueError.
-    """
+
+def _check_pair_count(n_pairs: int) -> None:
+    if n_pairs > MAX_PAIRS:
+        raise ValueError(f"at most {MAX_PAIRS} settings pairs, got {n_pairs}")
+
+
+def row_code(pair, d_negative, g_negative):
+    """The uint8 row code ``4 * pair + 2 * d_negative + g_negative`` of pair
+    indices below ``MAX_PAIRS`` and outcome signs (d < 0, g < 0), broadcast;
+    at pair 0 it is the (pp, pm, mp, mm) column of a joints row."""
+    code = 2 * np.asarray(d_negative, dtype=bool).view(np.uint8)
+    code += np.asarray(g_negative, dtype=bool).view(np.uint8)
+    code += 4 * np.asarray(pair).astype(np.uint8, copy=False)
+    return code
+
+
+def trial_codes(pair_index, d, g, n_pairs: int):
+    """Row code (:func:`row_code`) of each trial, an outcome being -1 when
+    negative.  A pair index outside ``range(n_pairs)``, or more than
+    ``MAX_PAIRS`` pairs, raises ValueError."""
+    _check_pair_count(n_pairs)
     pair_index = np.asarray(pair_index)
     if pair_index.size and not (pair_index.min() >= 0 and pair_index.max() < n_pairs):
         raise ValueError(f"pair index outside range({n_pairs})")
-    code = pair_index.astype(np.min_scalar_type(max(4 * n_pairs - 1, 0)))
-    code <<= 2
-    code |= (np.asarray(d) < 0).view(np.uint8) << 1
-    code |= (np.asarray(g) < 0).view(np.uint8)
-    return code
+    return row_code(pair_index, np.asarray(d) < 0, np.asarray(g) < 0)
 
 
 def trial_outcomes(code):
     """The int8 outcome pair ``(1 - (code & 2), 1 - 2 * (code & 1))``."""
-    # the cast to int8 wraps wide codes but keeps their low two bits
+    # the cast to int8 wraps codes above 127 but keeps their low two bits
     low = np.asarray(code).astype(np.int8)
     return 1 - (low & 2), 1 - 2 * (low & 1)
 
 
 def bucket_table(cum):
     """The (k, w) bucket table of :func:`sample_codes`, w the largest power
-    of two with k * w <= 2^14 (at least 1).  Entry [p, b] is the row code
-    ``p << 2 | #{j: cum[p, j] <= u}`` of every u in [b / w, (b + 1) / w),
-    or the marker 4k, never a code in the dtype ``min_scalar_type(4k)``,
-    when a threshold of pair p lies strictly inside that bucket."""
+    of two with k * w <= 2^14 (at least 1), in uint8.  Entry [p, b] is the
+    row code ``4p + #{j: cum[p, j] <= u}`` of every u in [b / w, (b + 1) / w),
+    or the marker 4k, never a code, when a threshold of pair p lies strictly
+    inside that bucket.  More than ``MAX_PAIRS`` rows raise ValueError."""
     cum = np.asarray(cum, dtype=np.float64)
     k = len(cum)
+    _check_pair_count(k)
     w = 1 << max(0, ((1 << 14) // max(k, 1)).bit_length() - 1)
     t = cum[:, None, :]
     lo = np.arange(w)[:, None] / w
     count = (t <= lo).sum(axis=2)
     inside = ((t > lo) & (t < lo + 1 / w)).any(axis=2)
-    code = np.arange(k)[:, None] << 2 | count
-    return np.where(inside, 4 * k, code).astype(np.min_scalar_type(4 * k))
+    return np.where(inside, 4 * k, 4 * np.arange(k)[:, None] + count).astype(np.uint8)
 
 
 def sample_codes(u, pair_index, cum, table):
-    """Row codes of draws u in [0, 1) with int64 pair indices, in the dtype
-    of ``table = bucket_table(cum)``: one gather at ``floor(u * w) | pair <<
+    """Row codes of draws u in [0, 1) with int64 pair indices, in uint8,
+    from ``table = bucket_table(cum)``: one gather at ``floor(u * w) | pair <<
     log2(w)``, then the exact ``u >= cum[pair, j]`` compares for marked draws."""
     key = (u * table.shape[1]).astype(np.intp)
     key |= pair_index << (table.shape[1].bit_length() - 1)
     code = np.take(table.ravel(), key)
     marked = np.flatnonzero(code == 4 * len(table))
-    code[marked] = _compared_codes(u[marked], pair_index[marked], cum)
+    pair = pair_index[marked]
+    code[marked] = 4 * pair + (u[marked, None] >= cum[pair]).sum(axis=1)
     return code
-
-
-def _compared_codes(u, pair_index, cum):
-    return pair_index << 2 | (u[:, None] >= cum[pair_index]).sum(axis=1)
 
 
 def sample_outcomes(u, pair_index, cum):
@@ -98,16 +109,15 @@ def sample_outcomes(u, pair_index, cum):
 
     ``cum`` has one row per settings pair holding the cumulative sums
     (p_pp, p_pp+p_pm, p_pp+p_pm+p_mp); the number of them at or below a
-    draw is the low two bits of the trial's row code.  Draws outside
-    [0, 1), which would key another pair's bucket, are compared exactly.
+    draw is the low two bits of the trial's row code
+    (:func:`sample_codes`).  A draw outside [0, 1) raises ValueError.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
     cum = np.ascontiguousarray(cum, dtype=np.float64)
-    inside = (u >= 0.0) & (u < 1.0)
-    code = sample_codes(np.where(inside, u, 0.0), pair_index, cum, bucket_table(cum))
-    code[~inside] = _compared_codes(u[~inside], pair_index[~inside], cum)
-    return trial_outcomes(code)
+    if not ((u >= 0.0) & (u < 1.0)).all():
+        raise ValueError("draws must lie in [0, 1)")
+    return trial_outcomes(sample_codes(u, pair_index, cum, bucket_table(cum)))
 
 
 # trials per chunk of the tally and the trial CSV writer, whose per-chunk
@@ -120,9 +130,6 @@ def count_outcomes(pair_index, d, g, n_pairs: int):
 
     A pair index outside ``range(n_pairs)`` raises ValueError.
     """
-    pair_index = np.asarray(pair_index)
-    d = np.ascontiguousarray(d, dtype=np.int8)
-    g = np.ascontiguousarray(g, dtype=np.int8)
     counts = np.zeros(4 * n_pairs, dtype=np.int64)
     for start in range(0, len(pair_index), _CHUNK):
         chunk = slice(start, start + _CHUNK)

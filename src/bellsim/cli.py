@@ -125,13 +125,10 @@ def _print_analysis(analysis, source: str) -> None:
     )
 
 
-# every possible trial CSV body row, indexed by the trial's row code
-# (see _kernels.trial_codes)
+# every possible trial CSV body row, indexed by its row code (_kernels.row_code)
 _TRIAL_ROWS = tuple(
-    f"{label},{d},{g}"
-    for label in PAIR_LABELS
-    for d in ("+1", "-1")
-    for g in ("+1", "-1")
+    f"{PAIR_LABELS[code >> 2]},{d:+d},{g:+d}"
+    for code, d, g in zip(range(16), *_kernels.trial_outcomes(np.arange(16)))
 )
 _TRIAL_ROW_CODES = {row: code for code, row in enumerate(_TRIAL_ROWS)}
 
@@ -204,15 +201,9 @@ def _canonical_row_codes(buf, starts, ends):
     for offset, byte in ((6, ","), (4, "1"), (3, ","), (1, "1")):
         canonical &= column(ends - offset) == ord(byte)
     canonical &= (minus_d | (sign_d == ord("+"))) & (minus_g | (sign_g == ord("+")))
-    # PAIR_LABELS lists the pairs as 2 * (d primed) + (g primed), and
-    # trial_codes reads an outcome as -1 exactly when it is negative
-    code = _kernels.trial_codes(
-        primed_d.view(np.uint8) << 1 | primed_g.view(np.uint8),
-        -minus_d.view(np.int8),
-        -minus_g.view(np.int8),
-        len(PAIR_LABELS),
-    )
-    return code, canonical
+    # PAIR_LABELS lists the pairs as 2 * (d primed) + (g primed)
+    pair = 2 * primed_d.view(np.uint8) + primed_g
+    return _kernels.row_code(pair, minus_d, minus_g), canonical
 
 
 _READ_CHUNK = 1 << 20  # bytes read from a trial CSV at a time

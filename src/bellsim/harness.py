@@ -66,14 +66,15 @@ SINGLET_CHSH_ANGLES = (0.0, -math.pi / 2, 3 * math.pi / 4, -3 * math.pi / 4)
 
 @dataclass(frozen=True)
 class SettingsSchedule:
-    """The settings pairs available to a run; every trial draws its pair
-    uniformly at random, independently of the source."""
+    """The settings pairs of a run, at most ``_kernels.MAX_PAIRS``; every
+    trial draws its pair uniformly at random, independently of the source."""
 
     pairs: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if len(self.pairs) == 0:
             raise ValueError("schedule needs at least one settings pair")
+        _kernels._check_pair_count(len(self.pairs))
         object.__setattr__(
             self, "pairs", tuple((float(d), float(g)) for d, g in self.pairs)
         )
@@ -98,8 +99,8 @@ def chsh_schedule(
 
 @dataclass(frozen=True)
 class TrialLog:
-    """Per-trial settings and +-1 outcomes as one ``_kernels.trial_codes``
-    row code per trial (1 byte up to 64 pairs), decoded on each read."""
+    """Per-trial settings and +-1 outcomes as one uint8 ``_kernels.row_code``
+    per trial, decoded on each read."""
 
     pairs: tuple[tuple[float, float], ...]
     code: np.ndarray
@@ -142,14 +143,14 @@ def _generate_block(source, schedule, born, child, m):
     lam = np.asarray(source.sample(rng, m), dtype=np.float64)
     if len(schedule.pairs) == 1:  # one pair holds every trial: no selection
         d, g = _outcomes(source, lam, *schedule.pairs[0])
-        return 2 * (d < 0).view(np.uint8) + (g < 0)  # its pair bits are 0
-    d = np.empty(m, dtype=np.int8)
-    g = np.empty(m, dtype=np.int8)
+        return _kernels.row_code(0, d < 0, g < 0)
+    code = np.empty(m, dtype=np.uint8)
     for p, (delta, gamma) in enumerate(schedule.pairs):
         trials = np.flatnonzero(idx == p)
         if len(trials):
-            d[trials], g[trials] = _outcomes(source, lam[trials], delta, gamma)
-    return _kernels.trial_codes(idx, d, g, len(schedule.pairs))
+            d, g = _outcomes(source, lam[trials], delta, gamma)
+            code[trials] = _kernels.row_code(p, d < 0, g < 0)
+    return code
 
 
 def _blocks(source, schedule: SettingsSchedule, n: int, seed: int):
@@ -179,7 +180,7 @@ def run_trials(
     draw one lam per trial and evaluate both responses on it.
     """
     blocks = _blocks(source, schedule, n, seed)
-    code = np.empty(n, dtype=np.min_scalar_type(4 * len(schedule.pairs) - 1))
+    code = np.empty(n, dtype=np.uint8)
     for start, stop, block in blocks:
         code[start:stop] = block
 

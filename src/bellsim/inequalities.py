@@ -44,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels  # which imports this module: read at call time
 from .lhv import LhvModel, _quadrature, quadrature_correlation
 from .qstate import (
     CorrelationSign,
@@ -167,10 +168,8 @@ class LhvSource(CorrelationSource):
 
     def joints(self, delta: float, gamma: float) -> np.ndarray:
         pdf, weight, d, g = _quadrature(self.model, delta, gamma, self.nodes)
-        rho = pdf * weight
-        return np.array(
-            [np.sum(rho[(d == x) & (g == y)]) for x in (1, -1) for y in (1, -1)]
-        )
+        code = _kernels.row_code(0, d < 0, g < 0)
+        return np.bincount(code, weights=pdf * weight, minlength=4)
 
 
 class EmpiricalSource(CorrelationSource):
@@ -328,13 +327,13 @@ def wigner_terms(
     ``source.joints`` does: a scan passes a theta2 array and gets one
     (lhs, rhs) pair per point, bit for bit the scalar values.
     """
-    # G -> g sits at offset g_col within the d = +1 (columns 0, 1) and
-    # d = -1 (columns 2, 3) halves of a joints row
-    g_col = 0 if sign.factor == -1 else 1
-    lhs = source.joints(theta3, theta2)[..., 2 + g_col]
+    # the joints columns of (D -> +1, G -> g) and (D -> -1, G -> g), with
+    # g = -1 for correlated pairs and +1 for anticorrelated ones
+    plus, minus = _kernels.row_code(0, [False, True], sign.factor > 0)
+    lhs = source.joints(theta3, theta2)[..., minus]
     rhs = (
-        source.joints(theta1, theta2)[..., g_col]
-        + source.joints(theta1, theta3)[..., 2 + g_col]
+        source.joints(theta1, theta2)[..., plus]
+        + source.joints(theta1, theta3)[..., minus]
     )
     return lhs, rhs
 
@@ -467,10 +466,10 @@ class SextetMixtureSource(CorrelationSource):
     def joints(self, delta: float, gamma: float) -> np.ndarray:
         i = self._angle_index(delta)
         j = self._angle_index(gamma)
-        p = np.zeros(4)
-        for wi, s in zip(self.weights, self._sextets):
-            p[2 * (s.d[i] < 0) + (s.g[j] < 0)] += wi
-        return p
+        d_negative = [s.d[i] < 0 for s in self._sextets]
+        g_negative = [s.g[j] < 0 for s in self._sextets]
+        code = _kernels.row_code(0, d_negative, g_negative)
+        return np.bincount(code, weights=self.weights, minlength=4)
 
 
 def _validated_weights(weights: Sequence[float], size: int) -> np.ndarray:

@@ -36,6 +36,8 @@ from typing import Callable
 
 import numpy as np
 
+from .qstate import joint_correlation
+
 __all__ = [
     "LhvModel",
     "UsageError",
@@ -147,16 +149,15 @@ def estimate_correlation(
     """Monte Carlo estimate of <d*g> from n independent lam draws.
 
     The draws are the blocks of ``harness.run_trials`` on the one pair
-    (delta, gamma); only their count of d*g = -1 is kept.  Returns a
-    ``harness.PairEstimate`` "dg" with ``analyze_chsh``'s binomial error.
+    (delta, gamma), tallied by row code.  Returns a ``harness.PairEstimate``
+    "dg" read off the tally as ``analyze_chsh`` reads one, with its error.
     """
     from . import harness  # harness imports this module
 
     schedule = harness.SettingsSchedule(((delta, gamma),))
-    negative = 0
-    for _, _, code in harness._blocks(model, schedule, n, seed):
-        negative += int(np.count_nonzero((code + 1) & 2))  # d != g: code 1 or 2
-    return harness._pair_estimate("dg", n - 2 * negative, n)[0]
+    blocks = harness._blocks(model, schedule, n, seed)
+    counts = sum(np.bincount(code, minlength=4) for _, _, code in blocks)
+    return harness._pair_estimate("dg", joint_correlation(counts), n)[0]
 
 
 # how far, in turns, the computed phase of _sign_of_cos must lie from a zero

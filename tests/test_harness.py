@@ -107,16 +107,14 @@ class TestRunTrials:
         assert_lhv_block_matches_per_pair_masks(pairs)
         # one pair, as lhv-sim runs: its responses see lam itself
         assert_lhv_block_matches_per_pair_masks(((0.4, -1.1),))
-
-    def test_lhv_block_with_wide_keys_matches_per_pair_masks(self):
-        # 300 pairs, more than a uint8 pair index holds
-        pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(300))
+        # 63 pairs, the most a schedule holds: codes up to 251
+        pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(63))
         assert_lhv_block_matches_per_pair_masks(pairs)
 
-    @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (300, np.uint16)])
+    @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (63, np.uint8)])
     def test_pair_index_is_stored_narrow(self, n_pairs, dtype):
         # the blocks draw int64 indices; the log keeps the same values in
-        # row codes of the narrowest dtype that holds range(4 * n_pairs)
+        # uint8 row codes
         n = int(2.5 * BLOCK_SIZE)
         pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(n_pairs))
         schedule = SettingsSchedule(pairs=pairs)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bellsim import _kernels
 from bellsim.inequalities import (
     CorrelationSign,
     CorrelationSource,
@@ -54,7 +55,7 @@ EXPECTED_S = (2, 2, 2, -2, -2, -2, 2, -2, -2, 2, -2, -2, -2, 2, 2, 2)
 
 def prob(joints, d, g):
     """P(D -> d, G -> g), read from its column (pp, pm, mp, mm) of a joints row."""
-    return joints[2 * (d < 0) + (g < 0)]
+    return joints[_kernels.row_code(0, d < 0, g < 0)]
 
 
 class SawtoothSource(CorrelationSource):

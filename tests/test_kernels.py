@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bellsim import _kernels
+from bellsim import _kernels, harness
 from bellsim.qstate import StateKind, closed_form_correlation
 
 
@@ -96,8 +96,8 @@ cum_rows = st.lists(
 def test_sample_outcomes_matches_oracle(cum, data):
     k = len(cum)
     n = data.draw(st.integers(0, 50))
-    # draws exactly on a threshold, at 0, and anywhere in [0, 1)
-    thresholds = sorted(set(cum.ravel().tolist()) | {0.0})
+    # draws exactly on a threshold below 1, at 0, and anywhere in [0, 1)
+    thresholds = sorted({t for t in cum.ravel().tolist() if t < 1.0} | {0.0})
     u = np.array(
         data.draw(st.lists(
             st.one_of(
@@ -198,39 +198,31 @@ def test_sample_codes_with_thresholds_on_bucket_edges_and_zero_probabilities():
     assert_codes_match_oracle(*every_pair(draws, len(cum)), cum)
 
 
-def test_sample_codes_with_64_pairs_keep_code_255():
-    # 64 pairs fill uint8 with codes: 255 is pair 63's (-1, -1), so the
-    # marker needs a wider table
+def test_sample_codes_with_63_pairs_keep_code_251():
+    # 63 pairs, the most a schedule holds: 251 is pair 62's (-1, -1) and 252
+    # the marker, both in uint8, in a table narrowed to 256 buckets a pair
     rng = np.random.default_rng(8)
-    cum = cumulative(rng.integers(1, 9, size=(64, 4)))
+    cum = cumulative(rng.integers(1, 9, size=(63, 4)))
     table = _kernels.bucket_table(cum)
-    assert table.dtype == np.uint16 and (table == 256).any()
+    assert table.shape == (63, 256) and table.dtype == np.uint8
+    assert (table == 252).any()
     u = rng.random(200_000)
-    pair_index = rng.integers(0, 64, size=len(u))
+    pair_index = rng.integers(0, 63, size=len(u))
     code = assert_codes_match_oracle(u, pair_index, cum)
-    assert (code == 255).any()
-    draws, pairs = every_pair(edge_draws(table.shape[1]), 64)
+    assert (code == 251).any()
+    draws, pairs = every_pair(edge_draws(table.shape[1]), 63)
     assert_codes_match_oracle(draws, pairs, cum)
 
 
-def test_sample_codes_with_300_pairs_use_a_narrower_table():
-    rng = np.random.default_rng(9)
-    cum = cumulative(rng.integers(1, 9, size=(300, 4)))
-    table = _kernels.bucket_table(cum)
-    assert table.shape == (300, 32) and table.dtype == np.uint16
-    u = rng.random(100_000)
-    assert_codes_match_oracle(u, rng.integers(0, 300, size=len(u)), cum)
-    assert_codes_match_oracle(*every_pair(edge_draws(32), 300), cum)
-
-
 def test_bucket_table_size_is_bounded():
+    # for every pair count, w is the largest power of two with k * w <= 2^14
     rng = np.random.default_rng(10)
-    cum = cumulative(rng.integers(1, 9, size=(16384, 4)))
-    table = _kernels.bucket_table(cum)
-    # one bucket per pair, a uint32 marker above the uint16 codes
-    assert table.size <= 1 << 14 and table.nbytes <= 64 << 10
-    u = rng.random(50_000)
-    assert_codes_match_oracle(u, rng.integers(0, 16384, size=len(u)), cum)
+    for k in range(1, _kernels.MAX_PAIRS + 1):
+        table = _kernels.bucket_table(cumulative(rng.integers(1, 9, size=(k, 4))))
+        w = table.shape[1]
+        assert table.shape[0] == k and w & (w - 1) == 0
+        assert k * w <= 1 << 14 < 2 * k * w
+        assert table.dtype == np.uint8 and table.nbytes <= 16 << 10
 
 
 @pytest.mark.parametrize(
@@ -239,21 +231,22 @@ def test_bucket_table_size_is_bounded():
 )
 def test_sample_outcomes_keep_draws_outside_the_unit_interval_in_their_pair(draw):
     # a draw at or past 1 would read the next pair's first bucket and a
-    # negative one the previous pair's last; neighbouring rows give other
-    # outcomes there, so a wrapped key shows
+    # negative one the previous pair's last, so such a draw raises; -0.0
+    # lies inside [0, 1)
     cum = EDGE_ROWS
     pair_index = np.arange(len(cum), dtype=np.int64)
     u = np.full(len(cum), draw)
-    assert_identical(
-        _kernels.sample_outcomes(u, pair_index, cum),
-        oracle_sample_outcomes(u, pair_index, cum),
-    )
     mixed = np.concatenate([u, np.linspace(0.0, 0.99, len(cum))])
     pairs = np.concatenate([pair_index, pair_index[::-1]])
-    assert_identical(
-        _kernels.sample_outcomes(mixed, pairs, cum),
-        oracle_sample_outcomes(mixed, pairs, cum),
-    )
+    if 0.0 <= draw < 1.0:
+        assert_identical(
+            _kernels.sample_outcomes(mixed, pairs, cum),
+            oracle_sample_outcomes(mixed, pairs, cum),
+        )
+        return
+    for draws, index in ((u, pair_index), (mixed, pairs)):
+        with pytest.raises(ValueError, match=r"draws must lie in \[0, 1\)"):
+            _kernels.sample_outcomes(draws, index, cum)
 
 
 def random_log(seed, n, n_pairs):
@@ -267,7 +260,7 @@ def random_log(seed, n, n_pairs):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([1, 4, 64, 65, 300]),
+    st.sampled_from([1, 4, 63]),
     st.integers(0, 3000),
     st.integers(0, 2**32 - 1),
 )
@@ -279,7 +272,7 @@ def test_count_outcomes_matches_oracle(n_pairs, n, seed):
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("n_pairs", [4, 300])
+@pytest.mark.parametrize("n_pairs", [4, 63])
 def test_count_outcomes_across_chunk_boundary(offset, n_pairs):
     n = _kernels._CHUNK + offset
     pair_index, d, g = random_log(n + n_pairs, n, n_pairs)
@@ -321,11 +314,35 @@ def test_count_outcomes_rejects_out_of_range_pairs(bad):
         _kernels.count_outcomes(pair_index, d, g, 4)
 
 
-@pytest.mark.parametrize(
-    "n_pairs, dtype",
-    [(1, np.uint8), (4, np.uint8), (64, np.uint8), (65, np.uint16),
-     (16384, np.uint16), (16385, np.uint32)],
-)
+def test_row_code_of_every_pair_and_outcome():
+    pair = np.arange(_kernels.MAX_PAIRS).repeat(4)
+    d_negative = np.tile([False, False, True, True], _kernels.MAX_PAIRS)
+    g_negative = np.tile([False, True, False, True], _kernels.MAX_PAIRS)
+    code = _kernels.row_code(pair, d_negative, g_negative)
+    assert code.dtype == np.uint8
+    assert code.tolist() == (4 * pair + 2 * d_negative + g_negative).tolist()
+    assert code.tolist() == list(range(4 * _kernels.MAX_PAIRS))
+    # a scalar pair broadcasts over the outcome arrays
+    for p in range(_kernels.MAX_PAIRS):
+        assert _kernels.row_code(p, d_negative[:4], g_negative[:4]).tolist() == [
+            4 * p, 4 * p + 1, 4 * p + 2, 4 * p + 3
+        ]
+
+
+def test_64_pairs_raise():
+    pairs = tuple((0.01 * p, 0.0) for p in range(64))
+    pair_index, d, g = random_log(11, 100, 63)
+    for build in (
+        lambda: harness.SettingsSchedule(pairs=pairs),
+        lambda: _kernels.bucket_table(cumulative(np.ones((64, 4)))),
+        lambda: _kernels.trial_codes(pair_index, d, g, 64),
+    ):
+        with pytest.raises(ValueError, match="at most 63 settings pairs, got 64"):
+            build()
+    harness.SettingsSchedule(pairs=pairs[:63])
+
+
+@pytest.mark.parametrize("n_pairs, dtype", [(1, np.uint8), (4, np.uint8), (63, np.uint8)])
 def test_trial_codes_match_the_row_code(n_pairs, dtype):
     pair_index, d, g = random_log(n_pairs, 5000, n_pairs)
     pair_index[-1] = n_pairs - 1
@@ -362,9 +379,9 @@ def test_trial_outcomes_of_the_four_categories():
     assert list(zip(d.tolist(), g.tolist())) == [(1, 1), (1, -1), (-1, 1), (-1, -1)] * 2
 
 
-@pytest.mark.parametrize("n_pairs", [4, 65, 16385])
+@pytest.mark.parametrize("n_pairs", [4, 63])
 def test_trial_outcomes_invert_trial_codes(n_pairs):
-    # wide codes (uint16, uint32) decode through their low two bits
+    # codes above 127 (pairs 32 and up) decode through their low two bits
     pair_index, d, g = random_log(n_pairs + 1, 5000, n_pairs)
     pair_index[-1] = n_pairs - 1
     got_d, got_g = _kernels.trial_outcomes(_kernels.trial_codes(pair_index, d, g, n_pairs))
