@@ -107,7 +107,9 @@ class TestRunTrials:
         assert_lhv_block_matches_per_pair_masks(pairs)
         # one pair, as lhv-sim runs: its responses see lam itself
         assert_lhv_block_matches_per_pair_masks(((0.4, -1.1),))
-        # 63 pairs, the most a schedule holds: codes up to 251
+
+    def test_lhv_block_with_wide_keys_matches_per_pair_masks(self):
+        # 63 pairs, the most a schedule holds: codes up to 251, past int8
         pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(63))
         assert_lhv_block_matches_per_pair_masks(pairs)
 

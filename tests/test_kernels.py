@@ -214,6 +214,37 @@ def test_sample_codes_with_63_pairs_keep_code_251():
     assert_codes_match_oracle(draws, pairs, cum)
 
 
+def test_sample_codes_with_64_pairs_keep_code_255():
+    # 64 pairs would give pair 63's (-1, -1) code 255 and the marker 256,
+    # which a uint8 table wraps onto pair 0's (+1, +1): sampling refuses 64
+    # pairs rather than let the marker take code 0's place
+    rng = np.random.default_rng(8)
+    cum = cumulative(rng.integers(1, 9, size=(64, 4)))
+    u = rng.random(1000)
+    pair_index = rng.integers(0, 64, size=len(u))
+    for sample in (
+        lambda: _kernels.bucket_table(cum),
+        lambda: _kernels.sample_outcomes(u, pair_index, cum),
+    ):
+        with pytest.raises(ValueError, match="at most 63 settings pairs, got 64"):
+            sample()
+
+
+def test_sample_codes_with_300_pairs_use_a_narrower_table():
+    # the table narrows as pairs grow (k * w <= 2^14); 300 pairs, which
+    # would get 32 buckets a pair, raise, so the narrowest table is the
+    # 63-pair one with 256 buckets a pair
+    rng = np.random.default_rng(9)
+    with pytest.raises(ValueError, match="at most 63 settings pairs, got 300"):
+        _kernels.bucket_table(cumulative(rng.integers(1, 9, size=(300, 4))))
+    cum = cumulative(rng.integers(1, 9, size=(63, 4)))
+    table = _kernels.bucket_table(cum)
+    assert table.shape == (63, 256) and table.dtype == np.uint8
+    u = rng.random(100_000)
+    assert_codes_match_oracle(u, rng.integers(0, 63, size=len(u)), cum)
+    assert_codes_match_oracle(*every_pair(edge_draws(256), 63), cum)
+
+
 def test_bucket_table_size_is_bounded():
     # for every pair count, w is the largest power of two with k * w <= 2^14
     rng = np.random.default_rng(10)
@@ -342,14 +373,27 @@ def test_64_pairs_raise():
     harness.SettingsSchedule(pairs=pairs[:63])
 
 
-@pytest.mark.parametrize("n_pairs, dtype", [(1, np.uint8), (4, np.uint8), (63, np.uint8)])
+@pytest.mark.parametrize(
+    "n_pairs, dtype",
+    [(1, np.uint8), (4, np.uint8), (63, np.uint8), (65, np.uint16),
+     (16384, np.uint16), (16385, np.uint32)],
+)
 def test_trial_codes_match_the_row_code(n_pairs, dtype):
-    pair_index, d, g = random_log(n_pairs, 5000, n_pairs)
-    pair_index[-1] = n_pairs - 1
-    code = _kernels.trial_codes(pair_index, d, g, n_pairs)
-    assert code.dtype == dtype
-    want = 4 * pair_index + 2 * (d < 0) + (g < 0)
+    # pair indices of any integer dtype give uint8 codes; past the cap (the
+    # pair counts that once took uint16 and uint32 codes) the call raises
+    # rather than wrap a code past 255
+    k = min(n_pairs, _kernels.MAX_PAIRS)
+    pair_index, d, g = random_log(n_pairs, 5000, k)
+    pair_index = pair_index.astype(dtype)
+    pair_index[-1] = k - 1
+    code = _kernels.trial_codes(pair_index, d, g, k)
+    assert code.dtype == np.uint8
+    want = 4 * pair_index.astype(np.int64) + 2 * (d < 0) + (g < 0)
     assert np.array_equal(code, want)
+    if n_pairs > k:
+        pair_index[-1] = n_pairs - 1
+        with pytest.raises(ValueError, match=f"at most 63 settings pairs, got {n_pairs}"):
+            _kernels.trial_codes(pair_index, d, g, n_pairs)
 
 
 def test_trial_codes_read_the_outcome_sign():
@@ -379,15 +423,20 @@ def test_trial_outcomes_of_the_four_categories():
     assert list(zip(d.tolist(), g.tolist())) == [(1, 1), (1, -1), (-1, 1), (-1, -1)] * 2
 
 
-@pytest.mark.parametrize("n_pairs", [4, 63])
+@pytest.mark.parametrize("n_pairs", [4, 63, 65, 16385])
 def test_trial_outcomes_invert_trial_codes(n_pairs):
-    # codes above 127 (pairs 32 and up) decode through their low two bits
-    pair_index, d, g = random_log(n_pairs + 1, 5000, n_pairs)
-    pair_index[-1] = n_pairs - 1
-    got_d, got_g = _kernels.trial_outcomes(_kernels.trial_codes(pair_index, d, g, n_pairs))
+    # codes above 127 (pairs 32 and up) decode through their low two bits;
+    # a log of more than 63 pairs gets no codes to decode
+    k = min(n_pairs, _kernels.MAX_PAIRS)
+    pair_index, d, g = random_log(n_pairs + 1, 5000, k)
+    pair_index[-1] = k - 1
+    got_d, got_g = _kernels.trial_outcomes(_kernels.trial_codes(pair_index, d, g, k))
     assert got_d.dtype == got_g.dtype == np.int8
     assert np.array_equal(got_d, np.where(d < 0, -1, 1))
     assert np.array_equal(got_g, np.where(g < 0, -1, 1))
+    if n_pairs > k:
+        with pytest.raises(ValueError, match=f"at most 63 settings pairs, got {n_pairs}"):
+            _kernels.trial_codes(pair_index, d, g, n_pairs)
 
 
 def test_grid_max_against_brute_force():
