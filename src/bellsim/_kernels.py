@@ -5,12 +5,15 @@ Outcome sampling, coincidence tabulation and the 4-angle grid search;
 
 A trial has one uint8 row code, ``4 * pair + 2 * (d < 0) + (g < 0)``,
 written only by :func:`row_code` and read back by :func:`trial_outcomes`;
-a schedule holds at most ``MAX_PAIRS`` = 63 pairs, so every code (at
-most 251) and the bucket table's marker 4k (at most 252) fit in a byte.
-The Born sampler gathers most draws' codes from a bucket table (Chen &
-Asau's guide table) and compares only draws in buckets that hold a
-threshold; the tally adds the ``bincount`` of the codes of each chunk of
-65536 trials (``_CHUNK``) into one int64 table, so the intp copy that
+a table or tally holds at most ``MAX_PAIRS`` = 63 pairs, so every code
+(at most 251) and the bucket table's marker 4k (at most 252) fit in a
+byte.  The Born sampler gathers most draws' codes from a bucket table
+(Chen & Asau's guide table) and compares only draws in buckets that hold
+a threshold.  A run's Born trials each take one raw 64-bit word
+(:func:`word_codes`): for a schedule of k = 2^j pairs its top j bits are
+the pair and the next 53 the uniform u, so the table key is the word's
+top 14 bits.  The tally adds the ``bincount`` of the codes of each chunk
+of 65536 trials (``_CHUNK``) into one int64 table, so the intp copy that
 ``bincount`` makes of its input stays at 0.5 MiB.
 """
 
@@ -27,6 +30,7 @@ __all__ = [
     "trial_outcomes",
     "bucket_table",
     "sample_codes",
+    "word_codes",
     "sample_outcomes",
     "count_outcomes",
     "grid_max_abs_chsh",
@@ -91,6 +95,11 @@ def bucket_table(cum):
     return np.where(inside, 4 * k, 4 * np.arange(k)[:, None] + count).astype(np.uint8)
 
 
+def _compared_codes(u, pair, cum):
+    """Row codes ``4 * pair + #{j: u >= cum[pair, j]}`` by exact compares."""
+    return 4 * pair + (u[:, None] >= cum[pair]).sum(axis=1)
+
+
 def sample_codes(u, pair_index, cum, table):
     """Row codes of draws u in [0, 1) with int64 pair indices, in uint8,
     from ``table = bucket_table(cum)``: one gather at ``floor(u * w) | pair <<
@@ -99,8 +108,24 @@ def sample_codes(u, pair_index, cum, table):
     key |= pair_index << (table.shape[1].bit_length() - 1)
     code = np.take(table.ravel(), key)
     marked = np.flatnonzero(code == 4 * len(table))
-    pair = pair_index[marked]
-    code[marked] = 4 * pair + (u[marked, None] >= cum[pair]).sum(axis=1)
+    code[marked] = _compared_codes(u[marked], pair_index[marked], cum)
+    return code
+
+
+def word_codes(word, cum, table):
+    """Row codes, in uint8, of raw uint64 words for a table of k = 2^j pairs,
+    ``table = bucket_table(cum)``.  A word's top j bits are its pair and the
+    next 53 its draw u = ``((word << j) >> 11) * 2**-53``; k * w = 2^14, so
+    the table key is ``word >> 50``.  Marked draws rebuild u and take the
+    exact ``u >= cum[pair, j]`` compares of :func:`sample_codes`."""
+    if table.size != 1 << 14:
+        raise ValueError(f"a word draw needs a power-of-two pair count, got {len(table)}")
+    j = len(table).bit_length() - 1
+    key = (word >> 50).view(np.int64)
+    code = np.take(table.ravel(), key)
+    marked = np.flatnonzero(code == 4 * len(table))
+    u = ((word[marked] << j) >> 11) * 2.0**-53
+    code[marked] = _compared_codes(u, key[marked] >> (14 - j), cum)
     return code
 
 
@@ -128,8 +153,10 @@ _CHUNK = 1 << 16
 def count_outcomes(pair_index, d, g, n_pairs: int):
     """Tally the four outcome combinations per settings pair.
 
-    A pair index outside ``range(n_pairs)`` raises ValueError.
+    A pair index outside ``range(n_pairs)``, or more than ``MAX_PAIRS``
+    pairs, raises ValueError, also for an empty log.
     """
+    _check_pair_count(n_pairs)
     counts = np.zeros(4 * n_pairs, dtype=np.int64)
     for start in range(0, len(pair_index), _CHUNK):
         chunk = slice(start, start + _CHUNK)

@@ -9,7 +9,11 @@ binomial error bars.
 Reproducibility contract: trials are generated in fixed blocks of
 65536, each block drawing from its own substream spawned from the run
 seed.  Results therefore depend only on (source, schedule, n, seed),
-never on how blocks might be distributed over workers.
+never on how blocks might be distributed over workers.  A schedule
+holds a power-of-two number of pairs, k = 2^j, so that a trial's pair
+is the top j bits of one raw 64-bit word from the substream, exactly
+uniform; a Born trial's outcome comes from the next 53 bits of the
+same word, and a hidden-variable block samples lam after its words.
 """
 
 from __future__ import annotations
@@ -66,15 +70,19 @@ SINGLET_CHSH_ANGLES = (0.0, -math.pi / 2, 3 * math.pi / 4, -3 * math.pi / 4)
 
 @dataclass(frozen=True)
 class SettingsSchedule:
-    """The settings pairs of a run, at most ``_kernels.MAX_PAIRS``; every
-    trial draws its pair uniformly at random, independently of the source."""
+    """The settings pairs of a run, a power of two of them (1 to 32); every
+    trial draws its pair uniformly at random, independently of the source,
+    as the top bits of a raw 64-bit word."""
 
     pairs: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if len(self.pairs) == 0:
+        k = len(self.pairs)
+        if k == 0:
             raise ValueError("schedule needs at least one settings pair")
-        _kernels._check_pair_count(len(self.pairs))
+        _kernels._check_pair_count(k)
+        if k & (k - 1):
+            raise ValueError(f"settings pair count must be a power of two, got {k}")
         object.__setattr__(
             self, "pairs", tuple((float(d), float(g)) for d, g in self.pairs)
         )
@@ -131,19 +139,27 @@ def _generate_block(source, schedule, born, child, m):
 
     Blocks are self-contained: a block's content depends only on its
     substream and size, so blocks can be computed in any order (or on
-    any worker) and assembled into the same log.  Born trials read
-    ``born``, the run's ``_born_tables``; hidden-variable outcomes come
-    from ``lhv._outcomes``, the one evaluator, which raises ValueError for
-    a non-finite angle or a response outside +-1.
+    any worker) and assembled into the same log.  Each trial of a
+    schedule of 2^j pairs draws one raw word, whose top j bits are its
+    pair; a Born trial reads its outcome from the same word through
+    ``born``, the run's ``_born_tables``, and a hidden-variable block
+    samples lam after its words; with one pair it draws no words.
+    Hidden-variable outcomes come from ``lhv._outcomes``, the one
+    evaluator, which raises ValueError for a non-finite angle or a
+    response outside +-1.
     """
     rng = np.random.default_rng(child)
-    idx = rng.integers(0, len(schedule.pairs), size=m)
     if born is not None:
-        return _kernels.sample_codes(rng.random(m), idx, *born)
-    lam = np.asarray(source.sample(rng, m), dtype=np.float64)
-    if len(schedule.pairs) == 1:  # one pair holds every trial: no selection
+        return _kernels.word_codes(rng.bit_generator.random_raw(m), *born)
+    if len(schedule.pairs) == 1:  # one pair holds every trial: no pair bits
+        lam = np.asarray(source.sample(rng, m), dtype=np.float64)
         d, g = _outcomes(source, lam, *schedule.pairs[0])
         return _kernels.row_code(0, d < 0, g < 0)
+    j = len(schedule.pairs).bit_length() - 1
+    idx = rng.bit_generator.random_raw(m)
+    idx >>= 64 - j  # in place: no second word array
+    idx = idx.astype(np.uint8)
+    lam = np.asarray(source.sample(rng, m), dtype=np.float64)
     code = np.empty(m, dtype=np.uint8)
     for p, (delta, gamma) in enumerate(schedule.pairs):
         trials = np.flatnonzero(idx == p)

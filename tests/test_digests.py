@@ -16,9 +16,12 @@ draws.  The mimic sampler is pinned by the lhv-sim report at 22.5
 degrees, and by chsh-sim runs at the spin optimum turned by 22.5
 degrees, whose thresholds lie off those multiples.
 
-The ``draw`` field of each pin names the settings draw of the run,
-``uniform``: every trial picks its pair uniformly at random from its
-block's substream.  It is part of each pin's test id.
+The ``draw`` field of each pin names the draw of the run, ``word``:
+every trial takes one raw 64-bit word from its block's substream, whose
+top two bits are its settings pair; a Born trial's outcome comes from
+the next 53 bits of the same word, and an LHV block samples lam after
+its words.  It is part of each pin's test id.  A one-pair run draws no
+pair bits, so the ``lhv-sim`` stream is its lam draws alone.
 """
 
 import contextlib
@@ -30,40 +33,40 @@ import pytest
 from bellsim import cli, harness
 
 PINNED = [
-    ("spin-anticorrelated", "uniform",
-     "85f36d07e590a923a8d00d6c0cb8d0d2e7482a42fb9095eff9e7aad76480d50d",
-     "83b9f7238cf4eaaa4c1e9e7d1f51c40510cdf7720e118385d97692dca12ebfbb"),
-    ("spin-correlated", "uniform",
-     "fe53ea43f8724e5575bf3eb4c465e0936bc2c216dfd2c4e3c3cf95ded2f8fc3f",
-     "2b4b71870bff30b97198578f3e021c530dc37566983079745f21685700691742"),
-    ("photon-correlated", "uniform",
-     "66085476a244866e3f8ca6ad5e0cbcc4dbb22eebcd196baeae47e3af1b3a5268",
-     "2b4b71870bff30b97198578f3e021c530dc37566983079745f21685700691742"),
-    ("photon-anticorrelated", "uniform",
-     "b1ac10b57f88a05fc35d11dffc6767e1809bf8fd8234cd252b296b5a3cfc1f19",
-     "83b9f7238cf4eaaa4c1e9e7d1f51c40510cdf7720e118385d97692dca12ebfbb"),
+    ("spin-anticorrelated", "word",
+     "288355f08bb93a6313da8120688c2b9dcd37bd653d7777c76b1e0e93b4928d09",
+     "834f54fa0095c5d355ebd5eaea66241afccfbbf818506069dd01a59e3d56cbf3"),
+    ("spin-correlated", "word",
+     "f3319aabf8397f74c2ee043e50e002ef5ca104f2629290de2331c89a6ee9cf08",
+     "147cf3febfa33ca8348c87552d40eb8f475cb1ffbb71b54a56696f9b2dade217"),
+    ("photon-correlated", "word",
+     "403d9e802f20cbf0b84bd2f076f5380bf0abc1b0d10872b1897ea8025905f12b",
+     "147cf3febfa33ca8348c87552d40eb8f475cb1ffbb71b54a56696f9b2dade217"),
+    ("photon-anticorrelated", "word",
+     "f29cfc4fa1e8a550f15da6cf70f9acfa00f2bc7d974a55992587addddc2aec6d",
+     "834f54fa0095c5d355ebd5eaea66241afccfbbf818506069dd01a59e3d56cbf3"),
 ]
 
 
 LHV_PINNED = [
-    ("sign_model", "uniform",
-     "80a27f7c7ac700a350f63830d340e53bf3e0e5e356d911cefce2fbec4af78215",
-     "d8b638b419c0b99dda93affaf2eaced1379a14f772cacb0e9b1c1cf0b546efe4"),
-    ("constant_model", "uniform",
-     "6ce70d8be899701a363fa8c39110e64db8670a1062b9ef3240bc832f3daf5b81",
-     "e29cfa554ace51f89c00b8fd4e0cd165137c842f7367a7ef3c105f3fe1bb68b6"),
-    ("quantum_mimic_attempt", "uniform",
-     "80a27f7c7ac700a350f63830d340e53bf3e0e5e356d911cefce2fbec4af78215",
-     "d8b638b419c0b99dda93affaf2eaced1379a14f772cacb0e9b1c1cf0b546efe4"),
+    ("sign_model", "word",
+     "88e53f486dbc4588029ee34c95dc73fbaefa36cd8794e378f68bdf8956df291f",
+     "90f0c0a59433d3f5f86232f92896da5c853c42776f6204af913ae6a45b698387"),
+    ("constant_model", "word",
+     "aef0a829d7cf4251006385598a6a8677b92aca0ec4ca88c2a5823cc100dd81ac",
+     "f5267fff0a83b87faf666e880d4564f7cb7f861e097d932ae92b971386e215cb"),
+    ("quantum_mimic_attempt", "word",
+     "88e53f486dbc4588029ee34c95dc73fbaefa36cd8794e378f68bdf8956df291f",
+     "90f0c0a59433d3f5f86232f92896da5c853c42776f6204af913ae6a45b698387"),
 ]
 
 # the spin optimum turned by 22.5 degrees
 MIMIC_ANGLES = "22.5,-67.5,157.5,-112.5"
 
 MIMIC_PINNED = [
-    ("uniform",
-     "91aa6493250f914e8a018beeb9abd1bbde1ccaffda5e7e0bee11e95b78dbe14c",
-     "62d1ff105f1e48f48c25c44825706c0c6e616d519fa6158e8007c03cecc8f103"),
+    ("word",
+     "2d458958330c94122d80a019c341d48b68c679f22ada72ebed05262277757e8e",
+     "5a3d6dc7d3c34f5f14edd9b17a01167d7a20081fb2ee14a1de4a901645fd66c7"),
 ]
 
 LHV_SIM_REPORT_SHA256 = (

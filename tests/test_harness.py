@@ -22,7 +22,12 @@ from bellsim.harness import (
 )
 from bellsim.inequalities import EmpiricalSource, QuantumBornSource, wigner_check
 from bellsim.lhv import quantum_mimic_attempt, sign_model
-from bellsim.qstate import StateKind, closed_form_correlation, make_state
+from bellsim.qstate import (
+    StateKind,
+    closed_form_correlation,
+    joint_distribution,
+    make_state,
+)
 
 TWO_SQRT2 = 2 * math.sqrt(2.0)
 
@@ -103,20 +108,21 @@ class TestRunTrials:
         assert np.array_equal(a.outcome_g, b.outcome_g)
 
     def test_lhv_block_matches_per_pair_masks(self):
-        pairs = ((0.0, 0.4), (1.0, 0.4), (0.0, 0.4), (2.5, -1.0), (0.3, 0.3))
+        pairs = ((0.0, 0.4), (1.0, 0.4), (0.0, 0.4), (2.5, -1.0), (0.3, 0.3),
+                 (-0.7, 2.2), (1.9, 1.9), (0.3, -0.5))
         assert_lhv_block_matches_per_pair_masks(pairs)
         # one pair, as lhv-sim runs: its responses see lam itself
         assert_lhv_block_matches_per_pair_masks(((0.4, -1.1),))
 
     def test_lhv_block_with_wide_keys_matches_per_pair_masks(self):
-        # 63 pairs, the most a schedule holds: codes up to 251, past int8
-        pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(63))
+        # 32 pairs, the most a schedule holds: five pair bits, codes up to 127
+        pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(32))
         assert_lhv_block_matches_per_pair_masks(pairs)
 
-    @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (63, np.uint8)])
+    @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (32, np.uint8)])
     def test_pair_index_is_stored_narrow(self, n_pairs, dtype):
-        # the blocks draw int64 indices; the log keeps the same values in
-        # uint8 row codes
+        # each block's pairs are the top bits of the raw words its substream
+        # drew; the log keeps the same values in uint8 row codes
         n = int(2.5 * BLOCK_SIZE)
         pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(n_pairs))
         schedule = SettingsSchedule(pairs=pairs)
@@ -130,13 +136,77 @@ class TestRunTrials:
             code = harness._generate_block(
                 SINGLET, schedule, born, children[block], stop - start
             )
-            # the block's codes carry the int64 indices its substream drew
-            rng = np.random.default_rng(children[block])
-            idx = rng.integers(0, n_pairs, size=stop - start)
+            idx = pair_bits(children[block], stop - start, n_pairs)
             assert np.array_equal(code >> 2, idx)
             assembled[start:stop] = idx
         assert np.array_equal(log.pair_index, assembled)
         assert assembled.max() == n_pairs - 1
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 4, 8, 16, 32])
+    def test_pair_bits_are_uniform(self, n_pairs):
+        n = 1 << 20
+        pairs = tuple((0.1 * p, 0.2 - 0.05 * p) for p in range(n_pairs))
+        log = run_trials(SINGLET, SettingsSchedule(pairs=pairs), n, seed=31 + n_pairs)
+        observed = np.bincount(log.pair_index, minlength=n_pairs)
+        assert len(observed) == n_pairs
+        expected = n / n_pairs
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        if n_pairs == 1:
+            assert chi2 == 0.0
+        else:
+            assert chi2 <= chi2_bound(n_pairs - 1)
+
+    @pytest.mark.parametrize("kind", list(StateKind), ids=lambda kind: kind.value)
+    def test_born_cells_fit_the_born_rule(self, kind):
+        # each pair's four cells against its Born probabilities times the
+        # pair's trials, and all 16 cells against the Born probabilities / 4
+        # times n
+        n = 1 << 21
+        angles = (0.3, -1.2, 2.1, 0.8)
+        schedule = chsh_schedule(*angles)
+        counts = tabulate(run_trials(make_state(kind), schedule, n, seed=41)).counts
+        delta, gamma = np.array(schedule.pairs).T
+        born = joint_distribution(make_state(kind), delta, gamma)
+        assert (born * n / 4).min() >= 1000
+        per_pair = counts.sum(axis=1, keepdims=True)
+        for p in range(4):
+            expected = born[p] * per_pair[p]
+            chi2 = float(((counts[p] - expected) ** 2 / expected).sum())
+            assert chi2 <= chi2_bound(3), (p, chi2)
+        expected = born * n / 4
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 <= chi2_bound(15)
+
+    def test_one_pair_born_run_is_the_generators_uniform(self):
+        # with no pair bits, a word's 53 draw bits are numpy's own random():
+        # every block equals the sampler applied to rng.random(m)
+        n = int(2.5 * BLOCK_SIZE)
+        schedule = SettingsSchedule(pairs=((0.3, 1.1),))
+        log = run_trials(SINGLET, schedule, n, seed=23)
+        cum, table = harness._born_tables(SINGLET, schedule.pairs)
+        children = np.random.SeedSequence(23).spawn(math.ceil(n / BLOCK_SIZE))
+        for block, (start, stop) in enumerate(harness._block_slices(n)):
+            u = np.random.default_rng(children[block]).random(stop - start)
+            want = _kernels.sample_codes(u, np.zeros(len(u), dtype=np.int64), cum, table)
+            assert np.array_equal(log.code[start:stop], want)
+
+    @pytest.mark.parametrize("n_pairs", [4, 8])
+    def test_settings_do_not_depend_on_the_source(self, n_pairs):
+        # free choice: with the same schedule and seed, a Born run and every
+        # LHV run give each trial the same settings pair
+        pairs = tuple((0.4 * p, 1.0 - 0.3 * p) for p in range(n_pairs))
+        schedule = SettingsSchedule(pairs=pairs)
+        n = int(1.5 * BLOCK_SIZE)
+        born = run_trials(SINGLET, schedule, n, seed=29)
+        for model in (sign_model(), quantum_mimic_attempt(), lhv.constant_model()):
+            log = run_trials(model, schedule, n, seed=29)
+            assert np.array_equal(log.pair_index, born.pair_index)
+
+    @pytest.mark.parametrize("n_pairs", [3, 5, 63])
+    def test_schedule_needs_a_power_of_two_pairs(self, n_pairs):
+        pairs = tuple((0.1 * p, 0.0) for p in range(n_pairs))
+        with pytest.raises(ValueError, match=f"power of two, got {n_pairs}"):
+            SettingsSchedule(pairs=pairs)
 
     def test_born_run_and_tally_memory_budget(self, traced_peak):
         # a 1-byte row code per trial plus fixed-size block and tally-chunk
@@ -148,6 +218,20 @@ class TestRunTrials:
         )
         assert counts.sum() == n
         assert peak <= n + (16 << 20)
+
+
+def chi2_bound(dof, z=4.75):
+    """The chi-squared quantile of upper tail about 1e-6 (z = 4.75 standard
+    normal deviations), by the Wilson-Hilferty approximation."""
+    c = 2 / (9 * dof)
+    return dof * (1 - c + z * math.sqrt(c)) ** 3
+
+
+def pair_bits(child, m, n_pairs):
+    """The pair of each of a block's m trials, for more than one pair: the
+    top log2(n_pairs) bits of the raw words its substream draws first."""
+    words = np.random.default_rng(child).bit_generator.random_raw(m)
+    return words >> (65 - n_pairs.bit_length())
 
 
 def assert_lhv_block_matches_per_pair_masks(pairs):
@@ -174,9 +258,14 @@ def assert_lhv_block_matches_per_pair_masks(pairs):
     code = harness._generate_block(source, schedule, None, child, 70_000)
     idx = code >> 2
     d, g = _kernels.trial_outcomes(code)
-    # the same substream, drawn in the block's order: pairs, then lam
+    # the same substream, drawn in the block's order: one word per trial,
+    # whose top bits are the pair (none for one pair), then lam
     rng = np.random.default_rng(np.random.SeedSequence(17))
-    assert np.array_equal(idx, rng.integers(0, len(pairs), size=70_000))
+    if len(pairs) > 1:
+        words = rng.bit_generator.random_raw(70_000)
+        assert np.array_equal(idx, words >> (65 - len(pairs).bit_length()))
+    else:
+        assert not idx.any()
     lam = model.sample(rng, 70_000)
     expected_d = np.empty(70_000, dtype=np.int8)
     expected_g = np.empty(70_000, dtype=np.int8)
@@ -263,10 +352,11 @@ class TestAnalyzeChsh:
             analyze_chsh(counts)
 
     def test_extra_pairs_raise(self):
-        # a fifth pair used to be dropped and S scored from the first four
-        pairs = chsh_schedule(*SINGLET_CHSH_ANGLES).pairs + ((0.1, 0.2),)
+        # extra pairs used to be dropped and S scored from the first four
+        pairs = chsh_schedule(*SINGLET_CHSH_ANGLES).pairs
+        pairs += tuple((0.1 * p, 0.2) for p in range(4))
         log = run_trials(SINGLET, SettingsSchedule(pairs=pairs), 1000, seed=1)
-        with pytest.raises(bellsim.UsageError, match="needs 4 .* got 5"):
+        with pytest.raises(bellsim.UsageError, match="needs 4 .* got 8"):
             analyze_chsh(tabulate(log))
 
     def test_variance_formula_matches_sample_variance(self):

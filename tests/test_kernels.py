@@ -198,6 +198,76 @@ def test_sample_codes_with_thresholds_on_bucket_edges_and_zero_probabilities():
     assert_codes_match_oracle(*every_pair(draws, len(cum)), cum)
 
 
+def words_of(mantissa, pair, k, junk):
+    """Raw words of a k = 2^j pair table: the pair in the top j bits, the
+    draw u = mantissa * 2^-53 in the next 53, then 11 - j junk bits that no
+    code may read."""
+    j = k.bit_length() - 1
+    word = np.asarray(mantissa, dtype=np.uint64) << (11 - j)
+    word |= junk >> (53 + j)
+    if j:
+        word |= np.asarray(pair, dtype=np.uint64) << (64 - j)
+    return word
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32])
+def test_word_codes_on_thresholds_and_bucket_edges(k):
+    # u at 0, at 1 - 2^-53, on and beside every bucket edge and every
+    # threshold; the rows of each k-row table come from EDGE_ROWS, random
+    # rows on the 2^-53 grid and random cumulative rows
+    rng = np.random.default_rng(40 + k)
+    on_grid = np.sort(rng.integers(0, 1 << 53, size=(23, 3)), axis=1) * 2.0**-53
+    weights = rng.integers(0, 9, size=(32, 4)) + [0, 0, 0, 1]
+    rows = np.concatenate([EDGE_ROWS, on_grid, cumulative(weights)])
+    j = k.bit_length() - 1
+    w = 1 << (14 - j)
+    # bucket b's lower edge b / w as a 53-bit mantissa
+    edges = np.arange(w, dtype=np.uint64) << (39 + j)
+    ends = np.array([0, (1 << 53) - 1], dtype=np.uint64)
+    on_threshold = 0
+    for cum in rows.reshape(-1, k, 3):
+        table = _kernels.bucket_table(cum)
+        assert table.shape == (k, w)
+        mantissa, pair = [], []
+        for p in range(k):
+            t = (np.minimum(cum[p], 1.0) * 2.0**53).astype(np.uint64)
+            m = np.concatenate([ends, edges, edges - 1, t, t - 1, t + 1])
+            m = m[m < 1 << 53]
+            mantissa.append(m)
+            pair.append(np.full(len(m), p))
+        mantissa, pair = np.concatenate(mantissa), np.concatenate(pair)
+        junk = rng.bit_generator.random_raw(len(mantissa))
+        code = _kernels.word_codes(words_of(mantissa, pair, k, junk), cum, table)
+        u = mantissa * 2.0**-53
+        assert code.dtype == np.uint8
+        assert np.array_equal(code, 4 * pair + (u[:, None] >= cum[pair]).sum(axis=1))
+        assert np.array_equal(code, _kernels.sample_codes(u, pair, cum, table))
+        on_threshold += np.count_nonzero(u[:, None] == cum[pair])
+    assert on_threshold >= 23 * 3
+
+
+def test_word_codes_of_one_pair_read_the_generators_uniform():
+    # numpy's PCG64 random() is (raw >> 11) * 2^-53, so with no pair bits a
+    # word's draw is the uniform the generator would have returned
+    raw = np.random.default_rng(12).bit_generator.random_raw(1 << 16)
+    u = np.random.default_rng(12).random(1 << 16)
+    assert np.array_equal((raw >> 11) * 2.0**-53, u)
+    cum = cumulative([[1, 2, 3, 4]])
+    table = _kernels.bucket_table(cum)
+    assert np.array_equal(
+        _kernels.word_codes(raw, cum, table),
+        _kernels.sample_codes(u, np.zeros(len(u), dtype=np.int64), cum, table),
+    )
+
+
+@pytest.mark.parametrize("k", [3, 5, 63])
+def test_word_codes_need_a_power_of_two_pairs(k):
+    cum = cumulative(np.ones((k, 4)))
+    word = np.zeros(4, dtype=np.uint64)
+    with pytest.raises(ValueError, match=f"power-of-two pair count, got {k}"):
+        _kernels.word_codes(word, cum, _kernels.bucket_table(cum))
+
+
 def test_sample_codes_with_63_pairs_keep_code_251():
     # 63 pairs, the most a schedule holds: 251 is pair 62's (-1, -1) and 252
     # the marker, both in uint8, in a table narrowed to 256 buckets a pair
@@ -363,14 +433,19 @@ def test_row_code_of_every_pair_and_outcome():
 def test_64_pairs_raise():
     pairs = tuple((0.01 * p, 0.0) for p in range(64))
     pair_index, d, g = random_log(11, 100, 63)
+    empty = pair_index[:0]
     for build in (
         lambda: harness.SettingsSchedule(pairs=pairs),
         lambda: _kernels.bucket_table(cumulative(np.ones((64, 4)))),
         lambda: _kernels.trial_codes(pair_index, d, g, 64),
+        lambda: _kernels.count_outcomes(pair_index, d, g, 64),
+        lambda: _kernels.count_outcomes(empty, d[:0], g[:0], 64),
     ):
         with pytest.raises(ValueError, match="at most 63 settings pairs, got 64"):
             build()
-    harness.SettingsSchedule(pairs=pairs[:63])
+    # 63 pairs fit the codes, and the most a schedule holds is 32
+    assert _kernels.count_outcomes(empty, d[:0], g[:0], 63).shape == (63, 4)
+    harness.SettingsSchedule(pairs=pairs[:32])
 
 
 @pytest.mark.parametrize(
