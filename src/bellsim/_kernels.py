@@ -5,16 +5,17 @@ Outcome sampling, coincidence tabulation and the 4-angle grid search;
 
 A trial has one uint8 row code, ``4 * pair + 2 * (d < 0) + (g < 0)``,
 written only by :func:`row_code` and read back by :func:`trial_outcomes`;
-a table or tally holds at most ``MAX_PAIRS`` = 63 pairs, so every code
-(at most 251) and the bucket table's marker 4k (at most 252) fit in a
-byte.  The Born sampler gathers most draws' codes from a bucket table
-(Chen & Asau's guide table) and compares only draws in buckets that hold
-a threshold.  A run's Born trials each take one raw 64-bit word
-(:func:`word_codes`): for a schedule of k = 2^j pairs its top j bits are
-the pair and the next 53 the uniform u, so the table key is the word's
-top 14 bits.  The tally adds the ``bincount`` of the codes of each chunk
-of 65536 trials (``_CHUNK``) into one int64 table, so the intp copy that
-``bincount`` makes of its input stays at 0.5 MiB.
+a tally holds at most ``MAX_PAIRS`` = 63 pairs, so every code (at most
+251) fits in a byte.  The Born sampler is :func:`word_codes`: a trial
+takes one raw 64-bit word, whose top j bits, for a schedule of k = 2^j
+pairs, are the pair and the next 53 the uniform u.  It gathers most
+codes from a bucket table of 2^14 entries (Chen & Asau's guide table),
+keyed by the word's top 14 bits, and compares only draws in buckets that
+hold a threshold.  :func:`sample_outcomes` is its reference: the same
+codes from float draws by exact compares alone.  The tally adds the
+``bincount`` of the codes of each chunk of 65536 trials (``_CHUNK``) into
+one int64 table, so the intp copy that ``bincount`` makes of its input
+stays at 0.5 MiB.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "trial_codes",
     "trial_outcomes",
     "bucket_table",
-    "sample_codes",
     "word_codes",
     "sample_outcomes",
     "count_outcomes",
@@ -42,7 +42,7 @@ def backend() -> str:
     return "numpy"
 
 
-MAX_PAIRS = 63  # so the codes (at most 251) and the marker 4 * 63 are uint8
+MAX_PAIRS = 63  # so the codes (at most 251) are uint8
 
 
 def _check_pair_count(n_pairs: int) -> None:
@@ -79,15 +79,18 @@ def trial_outcomes(code):
 
 
 def bucket_table(cum):
-    """The (k, w) bucket table of :func:`sample_codes`, w the largest power
-    of two with k * w <= 2^14 (at least 1), in uint8.  Entry [p, b] is the
-    row code ``4p + #{j: cum[p, j] <= u}`` of every u in [b / w, (b + 1) / w),
-    or the marker 4k, never a code, when a threshold of pair p lies strictly
-    inside that bucket.  More than ``MAX_PAIRS`` rows raise ValueError."""
+    """The (k, 2^14 / k) uint8 bucket table of :func:`word_codes` for k =
+    2^j pairs.  Entry [p, b] is the row code ``4p + #{j: cum[p, j] <= u}``
+    of every u in bucket b, or the marker 4k, never a code, when a
+    threshold of pair p lies strictly inside that bucket.  More than
+    ``MAX_PAIRS`` rows, or a pair count that is not a power of two, raise
+    ValueError."""
     cum = np.asarray(cum, dtype=np.float64)
     k = len(cum)
     _check_pair_count(k)
-    w = 1 << max(0, ((1 << 14) // max(k, 1)).bit_length() - 1)
+    if k < 1 or k & (k - 1):
+        raise ValueError(f"a word draw needs a power-of-two pair count, got {k}")
+    w = (1 << 14) // k
     t = cum[:, None, :]
     lo = np.arange(w)[:, None] / w
     count = (t <= lo).sum(axis=2)
@@ -100,26 +103,12 @@ def _compared_codes(u, pair, cum):
     return 4 * pair + (u[:, None] >= cum[pair]).sum(axis=1)
 
 
-def sample_codes(u, pair_index, cum, table):
-    """Row codes of draws u in [0, 1) with int64 pair indices, in uint8,
-    from ``table = bucket_table(cum)``: one gather at ``floor(u * w) | pair <<
-    log2(w)``, then the exact ``u >= cum[pair, j]`` compares for marked draws."""
-    key = (u * table.shape[1]).astype(np.intp)
-    key |= pair_index << (table.shape[1].bit_length() - 1)
-    code = np.take(table.ravel(), key)
-    marked = np.flatnonzero(code == 4 * len(table))
-    code[marked] = _compared_codes(u[marked], pair_index[marked], cum)
-    return code
-
-
 def word_codes(word, cum, table):
-    """Row codes, in uint8, of raw uint64 words for a table of k = 2^j pairs,
+    """The Born sampler: row codes, in uint8, of raw uint64 words, from
     ``table = bucket_table(cum)``.  A word's top j bits are its pair and the
-    next 53 its draw u = ``((word << j) >> 11) * 2**-53``; k * w = 2^14, so
-    the table key is ``word >> 50``.  Marked draws rebuild u and take the
-    exact ``u >= cum[pair, j]`` compares of :func:`sample_codes`."""
-    if table.size != 1 << 14:
-        raise ValueError(f"a word draw needs a power-of-two pair count, got {len(table)}")
+    next 53 its draw u = ``((word << j) >> 11) * 2**-53``; the table key is
+    ``word >> 50``.  Marked draws rebuild u and take the exact
+    ``u >= cum[pair, j]`` compares of :func:`sample_outcomes`."""
     j = len(table).bit_length() - 1
     key = (word >> 50).view(np.int64)
     code = np.take(table.ravel(), key)
@@ -134,15 +123,17 @@ def sample_outcomes(u, pair_index, cum):
 
     ``cum`` has one row per settings pair holding the cumulative sums
     (p_pp, p_pp+p_pm, p_pp+p_pm+p_mp); the number of them at or below a
-    draw is the low two bits of the trial's row code
-    (:func:`sample_codes`).  A draw outside [0, 1) raises ValueError.
+    draw is the low two bits of the trial's row code.  The reference of
+    :func:`word_codes`, by exact compares alone.  A draw outside [0, 1) is
+    no uniform draw and raises ValueError, as do more than ``MAX_PAIRS`` pairs.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
     cum = np.ascontiguousarray(cum, dtype=np.float64)
     if not ((u >= 0.0) & (u < 1.0)).all():
         raise ValueError("draws must lie in [0, 1)")
-    return trial_outcomes(sample_codes(u, pair_index, cum, bucket_table(cum)))
+    _check_pair_count(len(cum))
+    return trial_outcomes(_compared_codes(u, pair_index, cum))
 
 
 # trials per chunk of the tally and the trial CSV writer, whose per-chunk

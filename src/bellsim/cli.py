@@ -13,8 +13,8 @@ Subcommands::
 Angles are degrees on the command line and radians everywhere inside.
 Exit codes: 0 success, 2 usage or validation error, 1 runtime failure.
 The library raises its input errors as ``bellsim.UsageError``, a
-``ValueError``; this module adds only the checks the library cannot
-make, and maps exactly that class to exit 2.
+``ValueError``, the seed bound included; this module adds only the
+checks the library cannot make, and maps exactly that class to exit 2.
 The default seed is 0, overridable with --seed; no environment variable
 changes a run.
 
@@ -54,12 +54,6 @@ _ANGLE_HEADER_RE = re.compile(
     r"^# angles_deg: delta=([^,]+),delta_prime=([^,]+),"
     r"gamma=([^,]+),gamma_prime=([^,]+)$"
 )
-
-
-def _resolve_seed(seed: int) -> int:
-    if seed < 0:
-        raise UsageError("seed must be >= 0")
-    return seed
 
 
 def _radians(flag: str, degrees: float) -> float:
@@ -326,29 +320,27 @@ def cmd_chsh_sim(args) -> int:
         angles_deg = tuple(
             scale * math.degrees(a) for a in harness.SINGLET_CHSH_ANGLES
         )
-    seed = _resolve_seed(args.seed)
     if kind is not None:
         source = qstate.make_state(kind)
     else:
         source = _lhv_model(args.model)
     rad = tuple(math.radians(a) for a in angles_deg)
     schedule = harness.chsh_schedule(*rad)
-    log = harness.run_trials(source, schedule, args.trials, seed)
+    log = harness.run_trials(source, schedule, args.trials, args.seed)
     if args.emit_trials:
         write_trials_csv(args.emit_trials, log, angles_deg)
-    return _analyze(log, seed, args.out)
+    return _analyze(log, args.seed, args.out)
 
 
 def cmd_lhv_sim(args) -> int:
     model = _lhv_model(args.model)
-    seed = _resolve_seed(args.seed)
     delta = _radians("--delta", args.delta)
     gamma = _radians("--gamma", args.gamma)
     # quadrature first: a bad --nodes stops the run before any draw or print
     quad = None
     if model.support is not None:
         quad = lhv.quadrature_correlation(model, delta, gamma, args.nodes)
-    estimate = lhv.estimate_correlation(model, delta, gamma, args.trials, seed)
+    estimate = lhv.estimate_correlation(model, delta, gamma, args.trials, args.seed)
     result = {
         "model": model.name,
         "delta_deg": args.delta,
@@ -356,7 +348,7 @@ def cmd_lhv_sim(args) -> int:
         "mc_mean": estimate.e,
         "mc_std_error": estimate.std_error,
         "n": estimate.n,
-        "seed": seed,
+        "seed": args.seed,
     }
     print(
         f"{model.name}: E({args.delta} deg, {args.gamma} deg) = "

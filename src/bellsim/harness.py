@@ -171,9 +171,11 @@ def _generate_block(source, schedule, born, child, m):
 
 def _blocks(source, schedule: SettingsSchedule, n: int, seed: int):
     """The blocks of an n-trial run, in order, as (start, stop, code); the
-    bound on n is checked and a Born run's tables are built at the call."""
+    bounds on n and seed are checked, and a Born run's tables built, at the call."""
     if n < 1:
         raise UsageError("trials must be >= 1")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     quantum = isinstance(source, EntangledState)
     born = _born_tables(source, schedule.pairs) if quantum else None
     children = np.random.SeedSequence(seed).spawn(math.ceil(n / BLOCK_SIZE))

@@ -4,6 +4,7 @@ root re-exports each module's public names as the same objects."""
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 import bellsim
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 MODULES = ["_kernels", "cli", "harness", "inequalities", "lhv", "qstate"]
 REEXPORTED = ["harness", "inequalities", "lhv", "qstate"]
@@ -46,6 +48,27 @@ def test_benchmark_traced_names_exist():
         for module, attr, _, _ in tracing.LAYERS
         if not hasattr(importlib.import_module(f"bellsim.{module}"), attr)
     ]
+    assert missing == []
+
+
+def test_readme_names_exist():
+    # every backticked module.name in the README resolves, so a deleted
+    # function cannot leave a stale name behind
+    dotted = re.compile(
+        r"(?<![\w./])(?:bellsim\.)?(_kernels|harness|cli|lhv|qstate|inequalities)"
+        r"\.(\w+(?:\.\w+)*)"
+    )
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"(?ms)^```.*?^```", "", text))
+    names = {m.groups() for span in spans for m in dotted.finditer(span)}
+    assert len(names) >= 10
+    missing = []
+    for module, path in sorted(names):
+        obj = importlib.import_module(f"bellsim.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, missing)
+        if obj is missing:
+            missing.append(f"{module}.{path}")
     assert missing == []
 
 

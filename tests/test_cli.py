@@ -941,6 +941,16 @@ def test_negative_seed_is_usage_error(capsys):
         # the quadrature runs before the Monte Carlo draws, so it reports first
         (["lhv-sim", "--model", "sign_model", "--trials", "0", "--nodes", "999"],
          None, "nodes must be >= 1000"),
+        # the seed bound is the library's, checked where the trials are
+        (["lhv-sim", "--model", "sign_model", "--seed", "-1"], None,
+         "seed must be >= 0"),
+        (["lhv-sim", "--model", "sign_model", "--seed", "-1", "--nodes", "999"],
+         None, "nodes must be >= 1000"),
+        (["chsh-sim", "--state", "spin-correlated", "--trials", "0", "--seed", "-1"],
+         None, "trials must be >= 1"),
+        (["chsh-sim", "--model", "nonesuch", "--seed", "-1"], None,
+         "unknown model 'nonesuch' "
+         "(available: sign_model, constant_model, quantum_mimic_attempt)"),
     ],
 )
 def test_rejected_input_exits_2(tmp_path, capsys, argv, csv_text, message):

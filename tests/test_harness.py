@@ -179,15 +179,15 @@ class TestRunTrials:
 
     def test_one_pair_born_run_is_the_generators_uniform(self):
         # with no pair bits, a word's 53 draw bits are numpy's own random():
-        # every block equals the sampler applied to rng.random(m)
+        # every block equals the exact compares of rng.random(m)
         n = int(2.5 * BLOCK_SIZE)
         schedule = SettingsSchedule(pairs=((0.3, 1.1),))
         log = run_trials(SINGLET, schedule, n, seed=23)
-        cum, table = harness._born_tables(SINGLET, schedule.pairs)
+        cum, _ = harness._born_tables(SINGLET, schedule.pairs)
         children = np.random.SeedSequence(23).spawn(math.ceil(n / BLOCK_SIZE))
         for block, (start, stop) in enumerate(harness._block_slices(n)):
             u = np.random.default_rng(children[block]).random(stop - start)
-            want = _kernels.sample_codes(u, np.zeros(len(u), dtype=np.int64), cum, table)
+            want = (u[:, None] >= cum[0]).sum(axis=1)
             assert np.array_equal(log.code[start:stop], want)
 
     @pytest.mark.parametrize("n_pairs", [4, 8])
@@ -482,6 +482,10 @@ def _empty_pair_counts():
          "trials must be >= 1"),
         (lambda: lhv.estimate_correlation(sign_model(), 0.0, 0.0, 0, seed=0),
          "trials must be >= 1"),
+        (lambda: run_trials(SINGLET, equal_angle_schedule(), 10, seed=-1),
+         "seed must be >= 0"),
+        (lambda: lhv.estimate_correlation(sign_model(), 0.0, 0.0, 10, seed=-1),
+         "seed must be >= 0"),
         (lambda: lhv.quadrature_correlation(sign_model(), 0.0, 0.0, nodes=999),
          "nodes must be >= 1000"),
         (lambda: wigner_scan(0.0, math.pi / 2, 2), "steps must be >= 3"),
@@ -491,7 +495,8 @@ def _empty_pair_counts():
          "no trials recorded for settings pair \"d'g\""),
     ],
     ids=[
-        "run_trials", "estimate_correlation", "quadrature_correlation",
+        "run_trials", "estimate_correlation", "run_trials_seed",
+        "estimate_correlation_seed", "quadrature_correlation",
         "wigner_scan", "maximize_chsh", "analyze_chsh",
     ],
 )

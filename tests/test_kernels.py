@@ -118,7 +118,7 @@ def test_sample_outcomes_matches_oracle(cum, data):
 
 
 def test_sample_outcomes_block_matches_oracle():
-    assert_codes_match_oracle(*random_inputs(5, n=1 << 16))
+    assert_outcomes_match_oracle(*random_inputs(5, n=1 << 16))
 
 
 def test_sample_outcomes_empty():
@@ -128,37 +128,16 @@ def test_sample_outcomes_empty():
     assert d.dtype == g.dtype == np.int8
 
 
-def assert_codes_match_oracle(u, pair_index, cum):
-    """sample_codes through its bucket table, and sample_outcomes, against
-    the oracle; each code keeps its trial's own pair index."""
-    table = _kernels.bucket_table(cum)
-    code = _kernels.sample_codes(u, pair_index, cum, table)
-    assert code.dtype == table.dtype
-    assert np.array_equal(code >> 2, pair_index)
-    want = oracle_sample_outcomes(u, pair_index, cum)
-    assert_identical(_kernels.trial_outcomes(code), want)
-    assert_identical(_kernels.sample_outcomes(u, pair_index, cum), want)
-    return code
+def assert_outcomes_match_oracle(u, pair_index, cum):
+    """sample_outcomes against the oracle; returns the outcome pair."""
+    got = _kernels.sample_outcomes(u, pair_index, cum)
+    assert_identical(got, oracle_sample_outcomes(u, pair_index, cum))
+    return got
 
 
-def edge_draws(width):
-    """Every bucket edge b / width and its nextafter neighbours in [0, 1)."""
-    edges = np.arange(width) / width
-    draws = np.concatenate([
-        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1.0),
-        [np.nextafter(1.0, 0.0)],
-    ])
-    return draws[(draws >= 0.0) & (draws < 1.0)]
-
-
-def every_pair(draws, k):
-    """Each draw once for each of k pairs."""
-    return np.tile(draws, k), np.repeat(np.arange(k, dtype=np.int64), len(draws))
-
-
-# one row per case: thresholds on bucket edges (of every width down to 4
-# buckets), zero-probability outcomes (equal thresholds), thresholds at 0
-# and at 1, and rows left out of order as rounding can leave them
+# one row per case: thresholds on bucket edges (of every table width),
+# zero-probability outcomes (equal thresholds), thresholds at 0 and at 1,
+# and rows left out of order as rounding can leave them
 EDGE_ROWS = np.array([
     [0.25, 0.5, 0.75],
     [1 / 4096, 2 / 4096, 4095 / 4096],
@@ -182,20 +161,6 @@ def test_bucket_table_marks_only_buckets_that_hold_a_threshold():
     unmarked = table != 16
     pairs = np.broadcast_to(np.arange(4)[:, None], table.shape)
     assert np.array_equal((table >> 2)[unmarked], pairs[unmarked])
-
-
-def test_sample_codes_at_bucket_edges_and_their_neighbours():
-    cum = cumulative([[1, 2, 3, 4], [4, 3, 2, 1], [1, 1, 1, 1], [3, 0, 5, 1]])
-    assert_codes_match_oracle(*every_pair(edge_draws(4096), 4), cum)
-
-
-def test_sample_codes_with_thresholds_on_bucket_edges_and_zero_probabilities():
-    cum = EDGE_ROWS
-    table = _kernels.bucket_table(cum)
-    draws = np.concatenate([edge_draws(table.shape[1]), cum.ravel()])
-    draws = np.concatenate([draws, np.nextafter(draws, -1.0), np.nextafter(draws, 2.0)])
-    draws = draws[(draws >= 0.0) & (draws < 1.0)]
-    assert_codes_match_oracle(*every_pair(draws, len(cum)), cum)
 
 
 def words_of(mantissa, pair, k, junk):
@@ -241,7 +206,6 @@ def test_word_codes_on_thresholds_and_bucket_edges(k):
         u = mantissa * 2.0**-53
         assert code.dtype == np.uint8
         assert np.array_equal(code, 4 * pair + (u[:, None] >= cum[pair]).sum(axis=1))
-        assert np.array_equal(code, _kernels.sample_codes(u, pair, cum, table))
         on_threshold += np.count_nonzero(u[:, None] == cum[pair])
     assert on_threshold >= 23 * 3
 
@@ -253,11 +217,8 @@ def test_word_codes_of_one_pair_read_the_generators_uniform():
     u = np.random.default_rng(12).random(1 << 16)
     assert np.array_equal((raw >> 11) * 2.0**-53, u)
     cum = cumulative([[1, 2, 3, 4]])
-    table = _kernels.bucket_table(cum)
-    assert np.array_equal(
-        _kernels.word_codes(raw, cum, table),
-        _kernels.sample_codes(u, np.zeros(len(u), dtype=np.int64), cum, table),
-    )
+    code = _kernels.word_codes(raw, cum, _kernels.bucket_table(cum))
+    assert np.array_equal(code, (u[:, None] >= cum[0]).sum(axis=1))
 
 
 @pytest.mark.parametrize("k", [3, 5, 63])
@@ -269,25 +230,20 @@ def test_word_codes_need_a_power_of_two_pairs(k):
 
 
 def test_sample_codes_with_63_pairs_keep_code_251():
-    # 63 pairs, the most a schedule holds: 251 is pair 62's (-1, -1) and 252
-    # the marker, both in uint8, in a table narrowed to 256 buckets a pair
+    # 63 pairs, the most a tally holds: 251 is pair 62's (-1, -1), in uint8;
+    # the exact-compare sampler takes any pair count up to the cap
     rng = np.random.default_rng(8)
     cum = cumulative(rng.integers(1, 9, size=(63, 4)))
-    table = _kernels.bucket_table(cum)
-    assert table.shape == (63, 256) and table.dtype == np.uint8
-    assert (table == 252).any()
     u = rng.random(200_000)
     pair_index = rng.integers(0, 63, size=len(u))
-    code = assert_codes_match_oracle(u, pair_index, cum)
-    assert (code == 251).any()
-    draws, pairs = every_pair(edge_draws(table.shape[1]), 63)
-    assert_codes_match_oracle(draws, pairs, cum)
+    d, g = assert_outcomes_match_oracle(u, pair_index, cum)
+    assert (_kernels.trial_codes(pair_index, d, g, 63) == 251).any()
 
 
 def test_sample_codes_with_64_pairs_keep_code_255():
-    # 64 pairs would give pair 63's (-1, -1) code 255 and the marker 256,
-    # which a uint8 table wraps onto pair 0's (+1, +1): sampling refuses 64
-    # pairs rather than let the marker take code 0's place
+    # 64 pairs would give pair 63's (-1, -1) code 255 and the bucket
+    # table's marker 256, which uint8 wraps onto pair 0's (+1, +1): the
+    # table and the reference sampler both refuse 64 pairs
     rng = np.random.default_rng(8)
     cum = cumulative(rng.integers(1, 9, size=(64, 4)))
     u = rng.random(1000)
@@ -300,30 +256,32 @@ def test_sample_codes_with_64_pairs_keep_code_255():
             sample()
 
 
-def test_sample_codes_with_300_pairs_use_a_narrower_table():
-    # the table narrows as pairs grow (k * w <= 2^14); 300 pairs, which
-    # would get 32 buckets a pair, raise, so the narrowest table is the
-    # 63-pair one with 256 buckets a pair
+def test_300_pairs_raise():
     rng = np.random.default_rng(9)
-    with pytest.raises(ValueError, match="at most 63 settings pairs, got 300"):
-        _kernels.bucket_table(cumulative(rng.integers(1, 9, size=(300, 4))))
-    cum = cumulative(rng.integers(1, 9, size=(63, 4)))
-    table = _kernels.bucket_table(cum)
-    assert table.shape == (63, 256) and table.dtype == np.uint8
-    u = rng.random(100_000)
-    assert_codes_match_oracle(u, rng.integers(0, 63, size=len(u)), cum)
-    assert_codes_match_oracle(*every_pair(edge_draws(256), 63), cum)
+    cum = cumulative(rng.integers(1, 9, size=(300, 4)))
+    u = rng.random(1000)
+    pair_index = rng.integers(0, 300, size=len(u))
+    for sample in (
+        lambda: _kernels.bucket_table(cum),
+        lambda: _kernels.sample_outcomes(u, pair_index, cum),
+    ):
+        with pytest.raises(ValueError, match="at most 63 settings pairs, got 300"):
+            sample()
 
 
 def test_bucket_table_size_is_bounded():
-    # for every pair count, w is the largest power of two with k * w <= 2^14
+    # one table shape: k = 2^j pairs of 2^14 / k buckets, 16 KiB in uint8;
+    # any other pair count up to the cap raises
     rng = np.random.default_rng(10)
     for k in range(1, _kernels.MAX_PAIRS + 1):
-        table = _kernels.bucket_table(cumulative(rng.integers(1, 9, size=(k, 4))))
-        w = table.shape[1]
-        assert table.shape[0] == k and w & (w - 1) == 0
-        assert k * w <= 1 << 14 < 2 * k * w
-        assert table.dtype == np.uint8 and table.nbytes <= 16 << 10
+        cum = cumulative(rng.integers(1, 9, size=(k, 4)))
+        if k & (k - 1):
+            with pytest.raises(ValueError, match=f"power-of-two pair count, got {k}"):
+                _kernels.bucket_table(cum)
+            continue
+        table = _kernels.bucket_table(cum)
+        assert table.shape == (k, (1 << 14) // k) and table.dtype == np.uint8
+        assert table.nbytes == 16 << 10
 
 
 @pytest.mark.parametrize(
@@ -331,9 +289,8 @@ def test_bucket_table_size_is_bounded():
     [1.0, -0.5, 2.0, np.nan, np.inf, -np.inf, -0.0, np.nextafter(1.0, 2.0), 1e300],
 )
 def test_sample_outcomes_keep_draws_outside_the_unit_interval_in_their_pair(draw):
-    # a draw at or past 1 would read the next pair's first bucket and a
-    # negative one the previous pair's last, so such a draw raises; -0.0
-    # lies inside [0, 1)
+    # a draw outside [0, 1), nan and the infinities included, is no
+    # uniform draw, so it raises; -0.0 lies inside [0, 1)
     cum = EDGE_ROWS
     pair_index = np.arange(len(cum), dtype=np.int64)
     u = np.full(len(cum), draw)
