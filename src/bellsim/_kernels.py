@@ -12,10 +12,10 @@ pairs, are the pair and the next 53 the uniform u.  It gathers most
 codes from a bucket table of 2^14 entries (Chen & Asau's guide table),
 keyed by the word's top 14 bits, and compares only draws in buckets that
 hold a threshold.  :func:`sample_outcomes` is its reference: the same
-codes from float draws by exact compares alone.  The tally adds the
-``bincount`` of the codes of each chunk of 65536 trials (``_CHUNK``) into
-one int64 table, so the intp copy that ``bincount`` makes of its input
-stays at 0.5 MiB.
+codes from float draws by exact compares alone.  :func:`count_outcomes`
+tallies one slice by a ``bincount`` of its codes; ``harness.tabulate``
+hands it one chunk of 65536 trials (``_CHUNK``) at a time, so the intp
+copy that ``bincount`` makes of its input stays at 0.5 MiB.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .inequalities import chsh_variants
 __all__ = [
     "backend",
     "row_code",
-    "trial_codes",
     "trial_outcomes",
     "bucket_table",
     "word_codes",
@@ -50,6 +49,16 @@ def _check_pair_count(n_pairs: int) -> None:
         raise ValueError(f"at most {MAX_PAIRS} settings pairs, got {n_pairs}")
 
 
+def _pair_indices(pair_index, n_pairs: int):
+    """``pair_index`` as an array; a pair index outside ``range(n_pairs)``,
+    or more than ``MAX_PAIRS`` pairs, raises ValueError."""
+    _check_pair_count(n_pairs)
+    pair_index = np.asarray(pair_index)
+    if pair_index.size and not (pair_index.min() >= 0 and pair_index.max() < n_pairs):
+        raise ValueError(f"pair index outside range({n_pairs})")
+    return pair_index
+
+
 def row_code(pair, d_negative, g_negative):
     """The uint8 row code ``4 * pair + 2 * d_negative + g_negative`` of pair
     indices below ``MAX_PAIRS`` and outcome signs (d < 0, g < 0), broadcast;
@@ -58,17 +67,6 @@ def row_code(pair, d_negative, g_negative):
     code += np.asarray(g_negative, dtype=bool).view(np.uint8)
     code += 4 * np.asarray(pair).astype(np.uint8, copy=False)
     return code
-
-
-def trial_codes(pair_index, d, g, n_pairs: int):
-    """Row code (:func:`row_code`) of each trial, an outcome being -1 when
-    negative.  A pair index outside ``range(n_pairs)``, or more than
-    ``MAX_PAIRS`` pairs, raises ValueError."""
-    _check_pair_count(n_pairs)
-    pair_index = np.asarray(pair_index)
-    if pair_index.size and not (pair_index.min() >= 0 and pair_index.max() < n_pairs):
-        raise ValueError(f"pair index outside range({n_pairs})")
-    return row_code(pair_index, np.asarray(d) < 0, np.asarray(g) < 0)
 
 
 def trial_outcomes(code):
@@ -125,35 +123,31 @@ def sample_outcomes(u, pair_index, cum):
     (p_pp, p_pp+p_pm, p_pp+p_pm+p_mp); the number of them at or below a
     draw is the low two bits of the trial's row code.  The reference of
     :func:`word_codes`, by exact compares alone.  A draw outside [0, 1) is
-    no uniform draw and raises ValueError, as do more than ``MAX_PAIRS`` pairs.
+    no uniform draw and raises ValueError, as do more than ``MAX_PAIRS`` pairs
+    and a pair index outside ``range(len(cum))``.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
-    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
     cum = np.ascontiguousarray(cum, dtype=np.float64)
     if not ((u >= 0.0) & (u < 1.0)).all():
         raise ValueError("draws must lie in [0, 1)")
-    _check_pair_count(len(cum))
+    pair_index = _pair_indices(np.asarray(pair_index, dtype=np.int64), len(cum))
     return trial_outcomes(_compared_codes(u, pair_index, cum))
 
 
-# trials per chunk of the tally and the trial CSV writer, whose per-chunk
-# temporaries then stay small
+# trials per chunk of harness.tabulate and the trial CSV writer, whose
+# per-chunk temporaries then stay small
 _CHUNK = 1 << 16
 
 
 def count_outcomes(pair_index, d, g, n_pairs: int):
-    """Tally the four outcome combinations per settings pair.
-
-    A pair index outside ``range(n_pairs)``, or more than ``MAX_PAIRS``
-    pairs, raises ValueError, also for an empty log.
-    """
-    _check_pair_count(n_pairs)
-    counts = np.zeros(4 * n_pairs, dtype=np.int64)
-    for start in range(0, len(pair_index), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        code = trial_codes(pair_index[chunk], d[chunk], g[chunk], n_pairs)
-        counts += np.bincount(code, minlength=len(counts))
-    return counts.reshape(n_pairs, 4)
+    """Tally one slice of trials: an int64 (n_pairs, 4) table of the four
+    outcome combinations per pair, an outcome counting as -1 when negative.
+    ``bincount`` copies the slice to intp, so ``harness.tabulate`` hands it
+    ``_CHUNK`` trials at a time.  A pair index outside ``range(n_pairs)``,
+    or more than ``MAX_PAIRS`` pairs, raises ValueError, even when empty."""
+    pair_index = _pair_indices(pair_index, n_pairs)
+    code = row_code(pair_index, np.asarray(d) < 0, np.asarray(g) < 0)
+    return np.bincount(code, minlength=4 * n_pairs).reshape(n_pairs, 4)
 
 
 def grid_max_abs_chsh(corr):

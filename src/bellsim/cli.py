@@ -128,12 +128,12 @@ _TRIAL_ROW_CODES = {row: code for code, row in enumerate(_TRIAL_ROWS)}
 
 
 def write_trials_csv(path: str, log: harness.TrialLog, angles_deg) -> None:
-    """Write a log as a trial CSV; a non-finite angle raises ValueError, and
+    """Write a log as a trial CSV; a non-finite angle raises UsageError, and
     a row code outside the 16 rows of the four pair labels IndexError."""
     # a numpy float's repr is "np.float64(...)", which no reader parses
     angles = tuple(float(a) for a in angles_deg)
     if not all(math.isfinite(a) for a in angles):
-        raise ValueError("angles must be finite")
+        raise UsageError("angles must be finite")
     delta, delta_prime, gamma, gamma_prime = angles
     rows = np.array([row + "\n" for row in _TRIAL_ROWS], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -337,9 +337,7 @@ def cmd_lhv_sim(args) -> int:
     delta = _radians("--delta", args.delta)
     gamma = _radians("--gamma", args.gamma)
     # quadrature first: a bad --nodes stops the run before any draw or print
-    quad = None
-    if model.support is not None:
-        quad = lhv.quadrature_correlation(model, delta, gamma, args.nodes)
+    quad = lhv.quadrature_correlation(model, delta, gamma, args.nodes)
     estimate = lhv.estimate_correlation(model, delta, gamma, args.trials, args.seed)
     result = {
         "model": model.name,
@@ -349,15 +347,14 @@ def cmd_lhv_sim(args) -> int:
         "mc_std_error": estimate.std_error,
         "n": estimate.n,
         "seed": args.seed,
+        "quadrature": quad,
+        "nodes": args.nodes,
     }
     print(
         f"{model.name}: E({args.delta} deg, {args.gamma} deg) = "
         f"{estimate.e:+.6f} +- {estimate.std_error:.6f}  (n={estimate.n})"
     )
-    if quad is not None:
-        result["quadrature"] = quad
-        result["nodes"] = args.nodes
-        print(f"quadrature ({args.nodes} nodes): {quad:+.6f}")
+    print(f"quadrature ({args.nodes} nodes): {quad:+.6f}")
     if args.out:
         _write_text(args.out, json.dumps(result, indent=2) + "\n")
     return 0

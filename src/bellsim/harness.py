@@ -145,8 +145,8 @@ def _generate_block(source, schedule, born, child, m):
     ``born``, the run's ``_born_tables``, and a hidden-variable block
     samples lam after its words; with one pair it draws no words.
     Hidden-variable outcomes come from ``lhv._outcomes``, the one
-    evaluator, which raises ValueError for a non-finite angle or a
-    response outside +-1.
+    evaluator, which raises UsageError for a non-finite angle and
+    ValueError for a response outside +-1.
     """
     rng = np.random.default_rng(child)
     if born is not None:

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .qstate import joint_correlation
+from .qstate import UsageError, joint_correlation
 
 __all__ = [
     "LhvModel",
@@ -56,10 +56,6 @@ TWO_PI = 2.0 * math.pi
 DENSITY_ATOL = 1e-9
 
 _NORM_CHECK_NODES = 4096
-
-
-class UsageError(ValueError):
-    """An input outside the bounds a function accepts; the CLI exits 2."""
 
 
 class UnboundedSupportError(ValueError):
@@ -114,7 +110,7 @@ def _outcomes(model, lam: np.ndarray, delta: float, gamma: float):
     """(response_d(lam, delta), response_g(lam, gamma)) of ``model``, checked
     before any caller stores them (an int8 store would wrap 255 to -1)."""
     if not (math.isfinite(delta) and math.isfinite(gamma)):
-        raise ValueError("analyzer angle must be finite")
+        raise UsageError("analyzer angle must be finite")
     d = np.asarray(model.response_d(lam, delta))
     g = np.asarray(model.response_g(lam, gamma))
     if not (np.all(np.abs(d) == 1) and np.all(np.abs(g) == 1)):

@@ -57,6 +57,10 @@ NORMALIZATION_ATOL = 1e-12
 _SQRT_HALF = math.sqrt(0.5)
 
 
+class UsageError(ValueError):
+    """An input outside the bounds a function accepts; the CLI exits 2."""
+
+
 class CorrelationSign(enum.Enum):
     """Selects the sign variant of the inequalities that depend on whether
     equal-angle outcomes are strictly opposite or strictly equal."""
@@ -158,7 +162,7 @@ def analyzer_basis(particle: ParticleKind, angle) -> np.ndarray:
     """
     theta = particle.angle_scale * np.asarray(angle, dtype=np.float64)
     if not np.isfinite(theta).all():
-        raise ValueError("analyzer angle must be finite")
+        raise UsageError("analyzer angle must be finite")
     c, s = np.cos(theta), np.sin(theta)
     u = np.empty(theta.shape + (2, 2))
     u[..., 0, 0] = c
@@ -219,8 +223,11 @@ def closed_form_correlation(kind: StateKind, delta, gamma):
     +-cos(2(gamma - delta)) for photon pairs (upper sign: anticorrelated).
 
     ``delta`` and ``gamma`` broadcast against each other; scalar angles
-    give a Python float.
+    give a Python float.  A non-finite angle raises UsageError.
     """
-    mult = 2.0 * kind.particle.angle_scale
-    e = kind.sign.factor * np.cos(mult * (np.asarray(gamma) - np.asarray(delta)))
+    x = 2.0 * kind.particle.angle_scale * (np.asarray(gamma) - np.asarray(delta))
+    # math.isfinite keeps the scalar call, which maximize makes per step, cheap
+    if not (np.isfinite(x).all() if x.ndim else math.isfinite(x)):
+        raise UsageError("analyzer angle must be finite")
+    e = kind.sign.factor * np.cos(x)
     return float(e) if e.ndim == 0 else e

@@ -72,6 +72,19 @@ def test_readme_names_exist():
     assert missing == []
 
 
+def test_every_kernel_has_a_caller():
+    # each public kernel is named in the package or the benchmark outside
+    # _kernels.py, so no kernel outlives its last caller
+    from bellsim import _kernels
+
+    files = [*(ROOT / "src" / "bellsim").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    text = "\n".join(
+        path.read_text(encoding="utf-8") for path in files if path.name != "_kernels.py"
+    )
+    uncalled = [name for name in _kernels.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert uncalled == []
+
+
 def test_correlation_sign_has_one_definition():
     # defined in qstate beside StateKind.sign; inequalities and the package
     # root hand out the same class

@@ -206,14 +206,10 @@ class TestRoundTrip:
 
 def trial_log(pair_index, d, g):
     # the uint8 row codes that run_trials and read_trials_csv store
+    pair_index = _kernels._pair_indices(pair_index, len(harness.PAIR_LABELS))
     return harness.TrialLog(
         pairs=harness.chsh_schedule(0.0, 0.0, 0.0, 0.0).pairs,
-        code=_kernels.trial_codes(
-            np.asarray(pair_index, dtype=np.int64),
-            np.asarray(d, dtype=np.int8),
-            np.asarray(g, dtype=np.int8),
-            len(harness.PAIR_LABELS),
-        ),
+        code=_kernels.row_code(pair_index, np.less(d, 0), np.less(g, 0)),
         source_description="test",
     )
 
@@ -282,7 +278,7 @@ class TestTrialCsvRoundTrip:
     def test_non_finite_angle_raises(self, tmp_path, bad):
         log = trial_log([0], [1], [1])
         path = tmp_path / "t.csv"
-        with pytest.raises(ValueError, match="angles must be finite"):
+        with pytest.raises(cli.UsageError, match="angles must be finite"):
             write_trials_csv(str(path), log, (0.0, bad, 0.0, 0.0))
         assert not path.exists()
 

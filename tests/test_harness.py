@@ -20,7 +20,14 @@ from bellsim.harness import (
     tabulate,
     wigner_scan,
 )
-from bellsim.inequalities import EmpiricalSource, QuantumBornSource, wigner_check
+from bellsim.inequalities import (
+    EmpiricalSource,
+    QuantumBornSource,
+    QuantumClosedFormSource,
+    bell_d1,
+    chsh_d4,
+    wigner_check,
+)
 from bellsim.lhv import quantum_mimic_attempt, sign_model
 from bellsim.qstate import (
     StateKind,
@@ -118,6 +125,12 @@ class TestRunTrials:
         # 32 pairs, the most a schedule holds: five pair bits, codes up to 127
         pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(32))
         assert_lhv_block_matches_per_pair_masks(pairs)
+
+    def test_lhv_block_with_pairs_that_draw_no_trials(self):
+        # 3 trials over 8 pairs: at least 5 pairs select none, and their
+        # responses are never called on an empty selection
+        pairs = tuple((0.3 * p, -0.2 * p) for p in range(8))
+        assert_lhv_block_matches_per_pair_masks(pairs, m=3)
 
     @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (32, np.uint8)])
     def test_pair_index_is_stored_narrow(self, n_pairs, dtype):
@@ -234,7 +247,7 @@ def pair_bits(child, m, n_pairs):
     return words >> (65 - n_pairs.bit_length())
 
 
-def assert_lhv_block_matches_per_pair_masks(pairs):
+def assert_lhv_block_matches_per_pair_masks(pairs, m=70_000):
     # reference: select each pair's trials with a boolean mask; each
     # response call must see exactly the lam values, in trial order,
     # that the mask selects
@@ -255,20 +268,20 @@ def assert_lhv_block_matches_per_pair_masks(pairs):
     )
     schedule = SettingsSchedule(pairs=pairs)
     child = np.random.SeedSequence(17)
-    code = harness._generate_block(source, schedule, None, child, 70_000)
+    code = harness._generate_block(source, schedule, None, child, m)
     idx = code >> 2
     d, g = _kernels.trial_outcomes(code)
     # the same substream, drawn in the block's order: one word per trial,
     # whose top bits are the pair (none for one pair), then lam
     rng = np.random.default_rng(np.random.SeedSequence(17))
     if len(pairs) > 1:
-        words = rng.bit_generator.random_raw(70_000)
+        words = rng.bit_generator.random_raw(m)
         assert np.array_equal(idx, words >> (65 - len(pairs).bit_length()))
     else:
         assert not idx.any()
-    lam = model.sample(rng, 70_000)
-    expected_d = np.empty(70_000, dtype=np.int8)
-    expected_g = np.empty(70_000, dtype=np.int8)
+    lam = model.sample(rng, m)
+    expected_d = np.empty(m, dtype=np.int8)
+    expected_g = np.empty(m, dtype=np.int8)
     expected_seen = []
     for p, (delta, gamma) in enumerate(pairs):
         mask = idx == p
@@ -469,6 +482,13 @@ class TestWignerScan:
             wigner_scan(0.0, math.pi / 2, 2)
 
 
+NOT_FINITE = "analyzer angle must be finite"
+
+
+def _closed_form():
+    return QuantumClosedFormSource(StateKind.SPIN_ANTICORRELATED)
+
+
 def _empty_pair_counts():
     counts = np.full((4, 4), 5)
     counts[2] = 0
@@ -493,11 +513,33 @@ def _empty_pair_counts():
          "coarse-step must be in [0.5, 15] degrees"),
         (lambda: analyze_chsh(_empty_pair_counts()),
          "no trials recorded for settings pair \"d'g\""),
+        (lambda: run_trials(SINGLET, equal_angle_schedule(math.nan), 10, seed=0),
+         NOT_FINITE),
+        (lambda: run_trials(sign_model(), equal_angle_schedule(math.inf), 10, seed=0),
+         NOT_FINITE),
+        (lambda: lhv.estimate_correlation(sign_model(), math.nan, 0.0, 10, seed=0),
+         NOT_FINITE),
+        (lambda: lhv.quadrature_correlation(sign_model(), 0.0, -math.inf),
+         NOT_FINITE),
+        (lambda: joint_distribution(SINGLET, 0.0, math.nan), NOT_FINITE),
+        (lambda: wigner_scan(math.nan, math.pi / 2, 3), NOT_FINITE),
+        (lambda: closed_form_correlation(StateKind.SPIN_CORRELATED, math.nan, 0.0),
+         NOT_FINITE),
+        (lambda: closed_form_correlation(
+            StateKind.PHOTON_CORRELATED, 0.0, np.array([0.5, math.inf])),
+         NOT_FINITE),
+        (lambda: chsh_d4(_closed_form(), math.nan, 0.0, 1.0, 2.0), NOT_FINITE),
+        (lambda: bell_d1(_closed_form(), math.inf, 0.0, 1.0, SINGLET.kind.sign),
+         NOT_FINITE),
     ],
     ids=[
         "run_trials", "estimate_correlation", "run_trials_seed",
         "estimate_correlation_seed", "quadrature_correlation",
         "wigner_scan", "maximize_chsh", "analyze_chsh",
+        "run_trials_angle", "lhv_run_trials_angle", "estimate_correlation_angle",
+        "quadrature_correlation_angle", "joint_distribution_angle",
+        "wigner_scan_angle", "closed_form_correlation_angle",
+        "closed_form_correlation_grid_angle", "chsh_d4_angle", "bell_d1_angle",
     ],
 )
 def test_input_bounds_raise_usage_error(call, message):

@@ -237,7 +237,7 @@ def test_sample_codes_with_63_pairs_keep_code_251():
     u = rng.random(200_000)
     pair_index = rng.integers(0, 63, size=len(u))
     d, g = assert_outcomes_match_oracle(u, pair_index, cum)
-    assert (_kernels.trial_codes(pair_index, d, g, 63) == 251).any()
+    assert (_kernels.row_code(pair_index, d < 0, g < 0) == 251).any()
 
 
 def test_sample_codes_with_64_pairs_keep_code_255():
@@ -307,6 +307,14 @@ def test_sample_outcomes_keep_draws_outside_the_unit_interval_in_their_pair(draw
             _kernels.sample_outcomes(draws, index, cum)
 
 
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_sample_outcomes_rejects_out_of_range_pairs(bad):
+    # a pair index outside the table reads no other pair's row
+    cum = cumulative([[1, 2, 3, 4], [4, 3, 2, 1]])
+    with pytest.raises(ValueError, match=r"pair index outside range\(2\)"):
+        _kernels.sample_outcomes([0.1], [bad], cum)
+
+
 def random_log(seed, n, n_pairs):
     """Pair indices in range and any int8 outcomes (the tally reads d < 0)."""
     rng = np.random.default_rng(seed)
@@ -332,27 +340,21 @@ def test_count_outcomes_matches_oracle(n_pairs, n, seed):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("n_pairs", [4, 63])
 def test_count_outcomes_across_chunk_boundary(offset, n_pairs):
+    # tabulate, the tally's one chunk loop, hands count_outcomes _CHUNK
+    # trials at a time; the last trial decides whether the final chunk is
+    # empty, full or one row
     n = _kernels._CHUNK + offset
     pair_index, d, g = random_log(n + n_pairs, n, n_pairs)
-    # the last trial decides whether the final chunk is empty, full or one row
     pair_index[-1] = n_pairs - 1
     d[-1] = g[-1] = -1
-    got = _kernels.count_outcomes(pair_index, d, g, n_pairs)
+    log = harness.TrialLog(
+        pairs=tuple((0.01 * p, 0.0) for p in range(n_pairs)),
+        code=_kernels.row_code(pair_index, d < 0, g < 0),
+        source_description="test",
+    )
+    got = harness.tabulate(log).counts
     assert_identical([got], [oracle_count_outcomes(pair_index, d, g, n_pairs)])
     assert got.sum() == n
-
-
-def test_count_outcomes_memory_budget(traced_peak):
-    # bincount copies its input to intp: one 65536-trial chunk of it is
-    # 0.5 MiB, where the whole 10M-trial log would be 80 MB
-    n = 10_000_000
-    rng = np.random.default_rng(9)
-    pair_index = rng.integers(0, 4, size=n, dtype=np.uint8)
-    d = rng.integers(-128, 128, size=n, dtype=np.int8)
-    g = rng.integers(-128, 128, size=n, dtype=np.int8)
-    counts, peak = traced_peak(lambda: _kernels.count_outcomes(pair_index, d, g, 4))
-    assert counts.sum() == n
-    assert peak <= 1 << 20
 
 
 def test_count_outcomes_empty():
@@ -394,7 +396,6 @@ def test_64_pairs_raise():
     for build in (
         lambda: harness.SettingsSchedule(pairs=pairs),
         lambda: _kernels.bucket_table(cumulative(np.ones((64, 4)))),
-        lambda: _kernels.trial_codes(pair_index, d, g, 64),
         lambda: _kernels.count_outcomes(pair_index, d, g, 64),
         lambda: _kernels.count_outcomes(empty, d[:0], g[:0], 64),
     ):
@@ -406,46 +407,41 @@ def test_64_pairs_raise():
 
 
 @pytest.mark.parametrize(
-    "n_pairs, dtype",
-    [(1, np.uint8), (4, np.uint8), (63, np.uint8), (65, np.uint16),
-     (16384, np.uint16), (16385, np.uint32)],
+    "n_pairs, dtype", [(1, np.uint8), (4, np.uint8), (63, np.uint8), (63, np.int64)]
 )
 def test_trial_codes_match_the_row_code(n_pairs, dtype):
-    # pair indices of any integer dtype give uint8 codes; past the cap (the
-    # pair counts that once took uint16 and uint32 codes) the call raises
-    # rather than wrap a code past 255
-    k = min(n_pairs, _kernels.MAX_PAIRS)
-    pair_index, d, g = random_log(n_pairs, 5000, k)
+    # pair indices of a narrow or a wide integer dtype give uint8 row codes,
+    # and the tally counts exactly those codes
+    pair_index, d, g = random_log(n_pairs, 5000, n_pairs)
     pair_index = pair_index.astype(dtype)
-    pair_index[-1] = k - 1
-    code = _kernels.trial_codes(pair_index, d, g, k)
-    assert code.dtype == np.uint8
+    pair_index[-1] = n_pairs - 1
     want = 4 * pair_index.astype(np.int64) + 2 * (d < 0) + (g < 0)
-    assert np.array_equal(code, want)
-    if n_pairs > k:
-        pair_index[-1] = n_pairs - 1
-        with pytest.raises(ValueError, match=f"at most 63 settings pairs, got {n_pairs}"):
-            _kernels.trial_codes(pair_index, d, g, n_pairs)
+    code = _kernels.row_code(pair_index, d < 0, g < 0)
+    assert code.dtype == np.uint8 and np.array_equal(code, want)
+    counts = _kernels.count_outcomes(pair_index, d, g, n_pairs)
+    assert np.array_equal(counts.ravel(), np.bincount(want, minlength=4 * n_pairs))
 
 
 def test_trial_codes_read_the_outcome_sign():
     # the tally's reading: only a negative outcome counts as -1
     d = np.array([1, -1, 0, 5, -7, 127, -128], dtype=np.int8)
-    code = _kernels.trial_codes(np.zeros(7, dtype=np.int64), d, d, 1)
-    assert code.tolist() == [0, 3, 0, 0, 3, 0, 3]
+    counts = _kernels.count_outcomes(np.zeros(7, dtype=np.int64), d, d, 1)
+    assert counts.tolist() == [[4, 0, 0, 3]]
 
 
 @pytest.mark.parametrize("bad", [-1, 4, 256])
 def test_trial_codes_reject_out_of_range_pairs(bad):
-    pair_index, d, g = random_log(9, 100, 4)
+    # the one pair-index check of the tally and the reference sampler
+    pair_index, _, _ = random_log(9, 100, 4)
+    assert _kernels._pair_indices(pair_index, 4) is pair_index
     pair_index[30] = bad
     with pytest.raises(ValueError, match=r"pair index outside range\(4\)"):
-        _kernels.trial_codes(pair_index, d, g, 4)
+        _kernels._pair_indices(pair_index, 4)
 
 
 def test_trial_codes_empty():
     empty = np.zeros(0, dtype=np.int64)
-    code = _kernels.trial_codes(empty, empty, empty, 4)
+    code = _kernels.row_code(_kernels._pair_indices(empty, 4), empty < 0, empty < 0)
     assert code.dtype == np.uint8 and code.shape == (0,)
 
 
@@ -458,17 +454,17 @@ def test_trial_outcomes_of_the_four_categories():
 @pytest.mark.parametrize("n_pairs", [4, 63, 65, 16385])
 def test_trial_outcomes_invert_trial_codes(n_pairs):
     # codes above 127 (pairs 32 and up) decode through their low two bits;
-    # a log of more than 63 pairs gets no codes to decode
+    # a log of more than 63 pairs gets no tally
     k = min(n_pairs, _kernels.MAX_PAIRS)
     pair_index, d, g = random_log(n_pairs + 1, 5000, k)
     pair_index[-1] = k - 1
-    got_d, got_g = _kernels.trial_outcomes(_kernels.trial_codes(pair_index, d, g, k))
+    got_d, got_g = _kernels.trial_outcomes(_kernels.row_code(pair_index, d < 0, g < 0))
     assert got_d.dtype == got_g.dtype == np.int8
     assert np.array_equal(got_d, np.where(d < 0, -1, 1))
     assert np.array_equal(got_g, np.where(g < 0, -1, 1))
     if n_pairs > k:
         with pytest.raises(ValueError, match=f"at most 63 settings pairs, got {n_pairs}"):
-            _kernels.trial_codes(pair_index, d, g, n_pairs)
+            _kernels.count_outcomes(pair_index, d, g, n_pairs)
 
 
 def test_grid_max_against_brute_force():

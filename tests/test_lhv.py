@@ -55,6 +55,10 @@ class TestModelInvariants:
             for resp in (model.response_d, model.response_g):
                 assert set(np.unique(resp(lam, angle))) <= {-1, 1}
 
+    def test_every_builtin_support_is_bounded(self):
+        # lhv-sim runs only built-in models and prints each one's quadrature
+        assert all(model.support is not None for model in builtin_models())
+
     @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
     def test_locality_signature(self, model):
         # each response sees one lambda array and one local angle, nothing else
