@@ -6,16 +6,16 @@ Outcome sampling, coincidence tabulation and the 4-angle grid search;
 A trial has one uint8 row code, ``4 * pair + 2 * (d < 0) + (g < 0)``,
 written only by :func:`row_code` and read back by :func:`trial_outcomes`;
 a tally holds at most ``MAX_PAIRS`` = 63 pairs, so every code (at most
-251) fits in a byte.  The Born sampler is :func:`word_codes`: a trial
-takes one raw 64-bit word, whose top j bits, for a schedule of k = 2^j
-pairs, are the pair and the next 53 the uniform u.  It gathers most
-codes from a bucket table of 2^14 entries (Chen & Asau's guide table),
-keyed by the word's top 14 bits, and compares only draws in buckets that
-hold a threshold.  :func:`sample_outcomes` is its reference: the same
-codes from float draws by exact compares alone.  :func:`count_outcomes`
-tallies one slice by a ``bincount`` of its codes; ``harness.tabulate``
-hands it one chunk of 65536 trials (``_CHUNK``) at a time, so the intp
-copy that ``bincount`` makes of its input stays at 0.5 MiB.
+251) fits in a byte.  The Born sampler is :func:`lane_codes`: a trial
+takes one 16-bit lane of raw words, whose top j bits, for k = 2^j pairs,
+are the pair.  It gathers most codes from a bucket table of 2^14 entries
+(Chen & Asau's guide table), keyed by the lane's top 14 bits; only a draw
+whose bucket holds a threshold takes one more raw word, for a 53-bit
+uniform u, and exact compares.  :func:`sample_outcomes` is its
+reference: the same codes from float draws by exact compares alone.
+:func:`count_outcomes` tallies one slice by a ``bincount`` of its codes;
+``harness.tabulate`` hands it one chunk of 65536 trials (``_CHUNK``) at a
+time, so the intp copy that ``bincount`` makes of its input stays at 0.5 MiB.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "row_code",
     "trial_outcomes",
     "bucket_table",
-    "word_codes",
+    "lane_codes",
     "sample_outcomes",
     "count_outcomes",
     "grid_max_abs_chsh",
@@ -77,7 +77,7 @@ def trial_outcomes(code):
 
 
 def bucket_table(cum):
-    """The (k, 2^14 / k) uint8 bucket table of :func:`word_codes` for k =
+    """The (k, 2^14 / k) uint8 bucket table of :func:`lane_codes` for k =
     2^j pairs.  Entry [p, b] is the row code ``4p + #{j: cum[p, j] <= u}``
     of every u in bucket b, or the marker 4k, never a code, when a
     threshold of pair p lies strictly inside that bucket.  More than
@@ -87,7 +87,7 @@ def bucket_table(cum):
     k = len(cum)
     _check_pair_count(k)
     if k < 1 or k & (k - 1):
-        raise ValueError(f"a word draw needs a power-of-two pair count, got {k}")
+        raise ValueError(f"a lane draw needs a power-of-two pair count, got {k}")
     w = (1 << 14) // k
     t = cum[:, None, :]
     lo = np.arange(w)[:, None] / w
@@ -101,17 +101,18 @@ def _compared_codes(u, pair, cum):
     return 4 * pair + (u[:, None] >= cum[pair]).sum(axis=1)
 
 
-def word_codes(word, cum, table):
-    """The Born sampler: row codes, in uint8, of raw uint64 words, from
-    ``table = bucket_table(cum)``.  A word's top j bits are its pair and the
-    next 53 its draw u = ``((word << j) >> 11) * 2**-53``; the table key is
-    ``word >> 50``.  Marked draws rebuild u and take the exact
-    ``u >= cum[pair, j]`` compares of :func:`sample_outcomes`."""
+def lane_codes(lane, cum, table, refine):
+    """The Born sampler: uint8 row codes of uint16 lanes, from ``table =
+    bucket_table(cum)``.  A lane's top j bits are its pair and ``lane >> 2``
+    its table key.  Each marked draw takes one raw word of ``refine(count)``,
+    in order, rebuilds its 53-bit u from its lane's low 16 - j bits and that
+    word's top 37 + j, and takes the exact compares of :func:`sample_outcomes`."""
     j = len(table).bit_length() - 1
-    key = (word >> 50).view(np.int64)
+    key = lane >> 2
     code = np.take(table.ravel(), key)
     marked = np.flatnonzero(code == 4 * len(table))
-    u = ((word[marked] << j) >> 11) * 2.0**-53
+    low = lane[marked].astype(np.uint64) & ((1 << (16 - j)) - 1)
+    u = (low << (37 + j) | refine(len(marked)) >> (27 - j)) * 2.0**-53
     code[marked] = _compared_codes(u, key[marked] >> (14 - j), cum)
     return code
 
@@ -122,7 +123,7 @@ def sample_outcomes(u, pair_index, cum):
     ``cum`` has one row per settings pair holding the cumulative sums
     (p_pp, p_pp+p_pm, p_pp+p_pm+p_mp); the number of them at or below a
     draw is the low two bits of the trial's row code.  The reference of
-    :func:`word_codes`, by exact compares alone.  A draw outside [0, 1) is
+    :func:`lane_codes`, by exact compares alone.  A draw outside [0, 1) is
     no uniform draw and raises ValueError, as do more than ``MAX_PAIRS`` pairs
     and a pair index outside ``range(len(cum))``.
     """

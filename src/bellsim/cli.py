@@ -249,7 +249,8 @@ def _parse_trial_lines(pieces):
     """The header angles and the row codes of a trial CSV's pieces."""
     header, angles, number, code = [], None, 0, np.empty(0, dtype=np.uint8)
     for piece in pieces:
-        piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if b"\r" in piece:  # a search for b"\r\n" costs even when none is there
+            piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         buf = np.frombuffer(piece, dtype=np.uint8)
         ends = np.flatnonzero(buf == ord("\n"))
         if not piece.endswith(b"\n"):  # a last line without its newline

@@ -11,9 +11,10 @@ Reproducibility contract: trials are generated in fixed blocks of
 seed.  Results therefore depend only on (source, schedule, n, seed),
 never on how blocks might be distributed over workers.  A schedule
 holds a power-of-two number of pairs, k = 2^j, so that a trial's pair
-is the top j bits of one raw 64-bit word from the substream, exactly
-uniform; a Born trial's outcome comes from the next 53 bits of the
-same word, and a hidden-variable block samples lam after its words.
+is the top j bits of one 16-bit lane of the substream's raw words,
+exactly uniform; a Born trial's outcome comes from the rest of its lane
+(and one more word if its bucket holds a threshold), and a
+hidden-variable block samples lam after its lane words.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ SINGLET_CHSH_ANGLES = (0.0, -math.pi / 2, 3 * math.pi / 4, -3 * math.pi / 4)
 class SettingsSchedule:
     """The settings pairs of a run, a power of two of them (1 to 32); every
     trial draws its pair uniformly at random, independently of the source,
-    as the top bits of a raw 64-bit word."""
+    as the top bits of a 16-bit lane of raw words."""
 
     pairs: tuple[tuple[float, float], ...]
 
@@ -134,31 +135,35 @@ def _born_tables(state: EntangledState, pairs):
     return cum, _kernels.bucket_table(cum)
 
 
+def _lanes(raw, m):
+    """m uint16 lanes of ceil(m / 4) raw words, little-endian on any machine."""
+    return raw(-(-m // 4)).astype("<u8", copy=False).view("<u2")[:m]
+
+
 def _generate_block(source, schedule, born, child, m):
     """Generate the row codes of one block of m trials from its substream.
 
     Blocks are self-contained: a block's content depends only on its
     substream and size, so blocks can be computed in any order (or on
     any worker) and assembled into the same log.  Each trial of a
-    schedule of 2^j pairs draws one raw word, whose top j bits are its
-    pair; a Born trial reads its outcome from the same word through
-    ``born``, the run's ``_born_tables``, and a hidden-variable block
-    samples lam after its words; with one pair it draws no words.
-    Hidden-variable outcomes come from ``lhv._outcomes``, the one
-    evaluator, which raises UsageError for a non-finite angle and
-    ValueError for a response outside +-1.
+    schedule of 2^j pairs reads one lane, whose top j bits are its pair;
+    a Born trial reads its outcome from the rest of it through ``born``,
+    the run's ``_born_tables``, and a hidden-variable block samples lam
+    after its lanes; with one pair it draws no lanes.  Hidden-variable
+    outcomes come from ``lhv._outcomes``, the one evaluator, which raises
+    UsageError for a non-finite angle and ValueError for a response
+    outside +-1.
     """
     rng = np.random.default_rng(child)
+    raw = rng.bit_generator.random_raw
     if born is not None:
-        return _kernels.word_codes(rng.bit_generator.random_raw(m), *born)
+        return _kernels.lane_codes(_lanes(raw, m), *born, raw)
     if len(schedule.pairs) == 1:  # one pair holds every trial: no pair bits
         lam = np.asarray(source.sample(rng, m), dtype=np.float64)
         d, g = _outcomes(source, lam, *schedule.pairs[0])
         return _kernels.row_code(0, d < 0, g < 0)
     j = len(schedule.pairs).bit_length() - 1
-    idx = rng.bit_generator.random_raw(m)
-    idx >>= 64 - j  # in place: no second word array
-    idx = idx.astype(np.uint8)
+    idx = (_lanes(raw, m) >> (16 - j)).astype(np.uint8)
     lam = np.asarray(source.sample(rng, m), dtype=np.float64)
     code = np.empty(m, dtype=np.uint8)
     for p, (delta, gamma) in enumerate(schedule.pairs):

@@ -152,8 +152,14 @@ def estimate_correlation(
 
     schedule = harness.SettingsSchedule(((delta, gamma),))
     blocks = harness._blocks(model, schedule, n, seed)
-    counts = sum(np.bincount(code, minlength=4) for _, _, code in blocks)
+    counts = sum(_one_pair_counts(code) for _, _, code in blocks)
     return harness._pair_estimate("dg", joint_correlation(counts), n)[0]
+
+
+def _one_pair_counts(code):
+    """``np.bincount(code, minlength=4)`` of one-pair codes, with no intp copy."""
+    d, g, both = (np.count_nonzero(x) for x in (code & 2, code & 1, code == 3))
+    return np.array([len(code) - d - g + both, g - both, d - both, both])
 
 
 # how far, in turns, the computed phase of _sign_of_cos must lie from a zero

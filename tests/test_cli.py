@@ -485,6 +485,18 @@ class TestByteReader:
         assert read_in_chunks(tmp_path, monkeypatch, data, [split]) == want
         assert read_in_every_chunk_size(tmp_path, monkeypatch, data) == want
 
+    def test_lf_piece_then_crlf_piece(self, tmp_path, monkeypatch):
+        # the first read ends after the LF rows, so the first piece holds no
+        # "\r" and is parsed as read; the second has "\r\n" line ends
+        lf = "\n".join([TRIAL_CSV_HEADER, cli.TRIAL_CSV_COLUMNS,
+                        "dg,+1,-1", "d'g',-1,-1", ""]).encode()
+        rows = crlf("dg',+1,+1", "d'g,-1,+1")
+        log = read_in_chunks(tmp_path, monkeypatch, lf + rows, [len(lf)])
+        assert log.code.tolist() == [1, 15, 4, 10]
+        want = "line 7: expected 3 comma-separated fields"
+        data = lf + rows + crlf("dg,+1")
+        assert read_in_chunks(tmp_path, monkeypatch, data, [len(lf)]) == want
+
     def test_lone_cr_file(self, tmp_path, monkeypatch):
         rows = ["dg,+1,-1", "d'g',-1,-1", "", "dg',+1,+1", "d'g,-1,+1"]
         data = "\r".join([TRIAL_CSV_HEADER, cli.TRIAL_CSV_COLUMNS, *rows, ""])

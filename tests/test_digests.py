@@ -16,12 +16,14 @@ draws.  The mimic sampler is pinned by the lhv-sim report at 22.5
 degrees, and by chsh-sim runs at the spin optimum turned by 22.5
 degrees, whose thresholds lie off those multiples.
 
-The ``draw`` field of each pin names the draw of the run, ``word``:
-every trial takes one raw 64-bit word from its block's substream, whose
-top two bits are its settings pair; a Born trial's outcome comes from
-the next 53 bits of the same word, and an LHV block samples lam after
-its words.  It is part of each pin's test id.  A one-pair run draws no
-pair bits, so the ``lhv-sim`` stream is its lam draws alone.
+The ``draw`` field of each pin names the draw of the run, ``lane``:
+every trial takes one 16-bit lane of its block's raw 64-bit words, four
+lanes to a word, whose top two bits are its settings pair; a Born
+trial's outcome comes from the rest of its lane, and a draw whose bucket
+holds a threshold takes one more raw word after the lane words.  An
+LHV block samples lam after its lane words.  The field is part of each
+pin's test id.  A one-pair run draws no lanes, so the ``lhv-sim``
+stream is its lam draws alone.
 """
 
 import contextlib
@@ -33,40 +35,40 @@ import pytest
 from bellsim import cli, harness
 
 PINNED = [
-    ("spin-anticorrelated", "word",
-     "288355f08bb93a6313da8120688c2b9dcd37bd653d7777c76b1e0e93b4928d09",
-     "834f54fa0095c5d355ebd5eaea66241afccfbbf818506069dd01a59e3d56cbf3"),
-    ("spin-correlated", "word",
-     "f3319aabf8397f74c2ee043e50e002ef5ca104f2629290de2331c89a6ee9cf08",
-     "147cf3febfa33ca8348c87552d40eb8f475cb1ffbb71b54a56696f9b2dade217"),
-    ("photon-correlated", "word",
-     "403d9e802f20cbf0b84bd2f076f5380bf0abc1b0d10872b1897ea8025905f12b",
-     "147cf3febfa33ca8348c87552d40eb8f475cb1ffbb71b54a56696f9b2dade217"),
-    ("photon-anticorrelated", "word",
-     "f29cfc4fa1e8a550f15da6cf70f9acfa00f2bc7d974a55992587addddc2aec6d",
-     "834f54fa0095c5d355ebd5eaea66241afccfbbf818506069dd01a59e3d56cbf3"),
+    ("spin-anticorrelated", "lane",
+     "25c10202b972af94cc1bee964afa361c33525d1e9604c2b7f09db9a6a7ab44cc",
+     "6442585580e8860d2f5357ee88eb5fbfc5214ed61bcc212bf27eaa0562db29c0"),
+    ("spin-correlated", "lane",
+     "07d9d1e5837ff5cb142162a105d293c5a9242622a68027a94b95573f8f392814",
+     "1d8d40311762adbcb3511cce2cfe01f38893cca383743860d3084641de956fef"),
+    ("photon-correlated", "lane",
+     "199eb5e23419ab6a87f9c2e8e5c1afdbe630bb16f1e3eed59a4379163d8b65ac",
+     "1d8d40311762adbcb3511cce2cfe01f38893cca383743860d3084641de956fef"),
+    ("photon-anticorrelated", "lane",
+     "17c1944e804ba1cf4cf04896fcadbeae03fba24a7ae45aafeb2f51ac4f99735b",
+     "6442585580e8860d2f5357ee88eb5fbfc5214ed61bcc212bf27eaa0562db29c0"),
 ]
 
 
 LHV_PINNED = [
-    ("sign_model", "word",
-     "88e53f486dbc4588029ee34c95dc73fbaefa36cd8794e378f68bdf8956df291f",
-     "90f0c0a59433d3f5f86232f92896da5c853c42776f6204af913ae6a45b698387"),
-    ("constant_model", "word",
-     "aef0a829d7cf4251006385598a6a8677b92aca0ec4ca88c2a5823cc100dd81ac",
-     "f5267fff0a83b87faf666e880d4564f7cb7f861e097d932ae92b971386e215cb"),
-    ("quantum_mimic_attempt", "word",
-     "88e53f486dbc4588029ee34c95dc73fbaefa36cd8794e378f68bdf8956df291f",
-     "90f0c0a59433d3f5f86232f92896da5c853c42776f6204af913ae6a45b698387"),
+    ("sign_model", "lane",
+     "b0700a94c5b63909b10723210774149641caaa22d1a7a3703ee6c14a9558140d",
+     "0fa58249344c4c4d53648e4b9ca0c4b5ca65aea9a480443a46932d12081d7e35"),
+    ("constant_model", "lane",
+     "021958f9197b1009fb9364b20f0b46462e3e19902c26aff84424dba193dab696",
+     "6d64e1bc00e6cb8a1fdac1f9151635510353ea6ac5cf2ff099bd10ceab77d6b9"),
+    ("quantum_mimic_attempt", "lane",
+     "b0700a94c5b63909b10723210774149641caaa22d1a7a3703ee6c14a9558140d",
+     "0fa58249344c4c4d53648e4b9ca0c4b5ca65aea9a480443a46932d12081d7e35"),
 ]
 
 # the spin optimum turned by 22.5 degrees
 MIMIC_ANGLES = "22.5,-67.5,157.5,-112.5"
 
 MIMIC_PINNED = [
-    ("word",
-     "2d458958330c94122d80a019c341d48b68c679f22ada72ebed05262277757e8e",
-     "5a3d6dc7d3c34f5f14edd9b17a01167d7a20081fb2ee14a1de4a901645fd66c7"),
+    ("lane",
+     "8876bf53d48348700d4f93ff463ecf651d1ea4293418e78fc655a088a7e19313",
+     "8157caf1f61e8721ff2a32883e88c39f0af1e64a62b4460901c3c76c9b0345d0"),
 ]
 
 LHV_SIM_REPORT_SHA256 = (

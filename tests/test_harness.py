@@ -134,8 +134,8 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (32, np.uint8)])
     def test_pair_index_is_stored_narrow(self, n_pairs, dtype):
-        # each block's pairs are the top bits of the raw words its substream
-        # drew; the log keeps the same values in uint8 row codes
+        # each block's pairs are the top bits of the lanes of the raw words
+        # its substream drew; the log keeps the same values in uint8 row codes
         n = int(2.5 * BLOCK_SIZE)
         pairs = tuple((0.01 * p, -0.02 * (p % 7)) for p in range(n_pairs))
         schedule = SettingsSchedule(pairs=pairs)
@@ -190,18 +190,53 @@ class TestRunTrials:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 <= chi2_bound(15)
 
-    def test_one_pair_born_run_is_the_generators_uniform(self):
-        # with no pair bits, a word's 53 draw bits are numpy's own random():
-        # every block equals the exact compares of rng.random(m)
-        n = int(2.5 * BLOCK_SIZE)
-        schedule = SettingsSchedule(pairs=((0.3, 1.1),))
-        log = run_trials(SINGLET, schedule, n, seed=23)
-        cum, _ = harness._born_tables(SINGLET, schedule.pairs)
-        children = np.random.SeedSequence(23).spawn(math.ceil(n / BLOCK_SIZE))
-        for block, (start, stop) in enumerate(harness._block_slices(n)):
-            u = np.random.default_rng(children[block]).random(stop - start)
-            want = (u[:, None] >= cum[0]).sum(axis=1)
-            assert np.array_equal(log.code[start:stop], want)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 4097, BLOCK_SIZE])
+    def test_lanes_are_little_endian_16_bit_slices(self, m):
+        words = np.random.default_rng(m).bit_generator.random_raw(-(-m // 4))
+
+        def raw(count):
+            assert count == len(words)
+            return words
+
+        lane = harness._lanes(raw, m)
+        assert lane.dtype == np.uint16
+        assert np.array_equal(lane, lane_oracle(words, m))
+        # the same words stored big-endian give the same lanes
+        assert np.array_equal(harness._lanes(lambda _: words.astype(">u8"), m), lane)
+
+    @pytest.mark.parametrize("n_pairs", [1, 4, 32])
+    @pytest.mark.parametrize("m", [1, 7, 4096, BLOCK_SIZE - 3, BLOCK_SIZE])
+    def test_born_draw_budget(self, n_pairs, m):
+        # a Generator passed as the child is the block's own, so the next
+        # raw word it gives is the one after the block's draws
+        pairs = tuple((0.3 * p, 1.0 - 0.7 * p) for p in range(n_pairs))
+        cum, table = born = harness._born_tables(SINGLET, pairs)
+        seed = np.random.SeedSequence(100 + m)
+        rng = np.random.default_rng(seed)
+        schedule = SettingsSchedule(pairs=pairs)
+        harness._generate_block(SINGLET, schedule, born, rng, m)
+        after = rng.bit_generator.random_raw(1)
+        replay = np.random.default_rng(seed).bit_generator
+        lane = lane_oracle(replay.random_raw(-(-m // 4)), m)
+        marked = np.count_nonzero(table.ravel()[lane >> 2] == 4 * n_pairs)
+        replay.random_raw(marked)
+        assert np.array_equal(replay.random_raw(1), after)
+        if m == BLOCK_SIZE:
+            assert marked > 0
+
+    @pytest.mark.parametrize("q", [0, 1, 4095])
+    def test_partial_born_blocks_share_their_prefix(self, q):
+        # m = 4q + 1 to 4q + 4 draw the same q + 1 lane words, so the same
+        # refinement words after them
+        schedule = chsh_schedule(*SINGLET_CHSH_ANGLES)
+        born = harness._born_tables(SINGLET, schedule.pairs)
+        seed = np.random.SeedSequence(61)
+        codes = [
+            harness._generate_block(SINGLET, schedule, born, seed, 4 * q + r)
+            for r in (1, 2, 3, 4)
+        ]
+        for shorter, longer in zip(codes, codes[1:]):
+            assert np.array_equal(longer[:-1], shorter)
 
     @pytest.mark.parametrize("n_pairs", [4, 8])
     def test_settings_do_not_depend_on_the_source(self, n_pairs):
@@ -240,11 +275,19 @@ def chi2_bound(dof, z=4.75):
     return dof * (1 - c + z * math.sqrt(c)) ** 3
 
 
+def lane_oracle(words, m):
+    """The first m lanes of raw words, by Python ints: lane 4q + i is bits
+    16i to 16i + 15 of word q."""
+    lanes = [(int(words[i // 4]) >> 16 * (i % 4)) & 0xFFFF for i in range(m)]
+    return np.array(lanes, dtype=np.uint16)
+
+
 def pair_bits(child, m, n_pairs):
     """The pair of each of a block's m trials, for more than one pair: the
-    top log2(n_pairs) bits of the raw words its substream draws first."""
-    words = np.random.default_rng(child).bit_generator.random_raw(m)
-    return words >> (65 - n_pairs.bit_length())
+    top log2(n_pairs) bits of the lanes of the ceil(m / 4) raw words its
+    substream draws first."""
+    words = np.random.default_rng(child).bit_generator.random_raw(-(-m // 4))
+    return lane_oracle(words, m) >> (17 - n_pairs.bit_length())
 
 
 def assert_lhv_block_matches_per_pair_masks(pairs, m=70_000):
@@ -271,12 +314,13 @@ def assert_lhv_block_matches_per_pair_masks(pairs, m=70_000):
     code = harness._generate_block(source, schedule, None, child, m)
     idx = code >> 2
     d, g = _kernels.trial_outcomes(code)
-    # the same substream, drawn in the block's order: one word per trial,
-    # whose top bits are the pair (none for one pair), then lam
+    # the same substream, drawn in the block's order: one lane per trial,
+    # whose top bits are the pair (no lanes for one pair), then lam
     rng = np.random.default_rng(np.random.SeedSequence(17))
     if len(pairs) > 1:
-        words = rng.bit_generator.random_raw(m)
-        assert np.array_equal(idx, words >> (65 - len(pairs).bit_length()))
+        words = rng.bit_generator.random_raw(-(-m // 4))
+        want = lane_oracle(words, m) >> (17 - len(pairs).bit_length())
+        assert np.array_equal(idx, want)
     else:
         assert not idx.any()
     lam = model.sample(rng, m)

@@ -163,23 +163,48 @@ def test_bucket_table_marks_only_buckets_that_hold_a_threshold():
     assert np.array_equal((table >> 2)[unmarked], pairs[unmarked])
 
 
-def words_of(mantissa, pair, k, junk):
-    """Raw words of a k = 2^j pair table: the pair in the top j bits, the
-    draw u = mantissa * 2^-53 in the next 53, then 11 - j junk bits that no
-    code may read."""
+def lane_draws(mantissa, pair, k, junk):
+    """The lane and refinement word of each draw u = mantissa * 2^-53 of a
+    k = 2^j pair table: the lane holds the pair in its top j bits and u's
+    top 16 - j bits below them; the word holds u's other 37 + j bits, then
+    27 - j junk bits that no code may read."""
     j = k.bit_length() - 1
-    word = np.asarray(mantissa, dtype=np.uint64) << (11 - j)
-    word |= junk >> (53 + j)
-    if j:
-        word |= np.asarray(pair, dtype=np.uint64) << (64 - j)
-    return word
+    mantissa = np.asarray(mantissa, dtype=np.uint64)
+    lane = (mantissa >> (37 + j)).astype(np.uint16)
+    lane |= (np.asarray(pair) << (16 - j)).astype(np.uint16)
+    low = mantissa & ((1 << (37 + j)) - 1)
+    return lane, low << (27 - j) | junk >> (37 + j)
+
+
+def refined_lane_codes(lane, extra, cum, table):
+    """lane_codes of the lanes, each marked draw refined by its own entry
+    of ``extra``: the kernel must ask for one word per marked draw, once."""
+    marked = table.ravel()[lane >> 2] == 4 * len(table)
+    asked = []
+
+    def refine(count):
+        asked.append(count)
+        return extra[marked]
+
+    code = _kernels.lane_codes(lane, cum, table, refine)
+    assert asked == [np.count_nonzero(marked)]
+    return code
+
+
+def reference_codes(mantissa, pair, cum):
+    """The row codes of draws mantissa * 2^-53 by sample_outcomes."""
+    d, g = _kernels.sample_outcomes(mantissa * 2.0**-53, pair, cum)
+    return _kernels.row_code(pair, d < 0, g < 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32])
 def test_word_codes_on_thresholds_and_bucket_edges(k):
-    # u at 0, at 1 - 2^-53, on and beside every bucket edge and every
-    # threshold; the rows of each k-row table come from EDGE_ROWS, random
-    # rows on the 2^-53 grid and random cumulative rows
+    # lane_codes: u at 0, at 1 - 2^-53, on and beside every bucket edge and
+    # every threshold, each split into its lane and its refinement word;
+    # then every lane, refined by the words 0 and 2^64 - 1, which give the
+    # least and the greatest u of the lane.  The rows of each k-row table
+    # come from EDGE_ROWS, random rows on the 2^-53 grid and random
+    # cumulative rows
     rng = np.random.default_rng(40 + k)
     on_grid = np.sort(rng.integers(0, 1 << 53, size=(23, 3)), axis=1) * 2.0**-53
     weights = rng.integers(0, 9, size=(32, 4)) + [0, 0, 0, 1]
@@ -189,7 +214,10 @@ def test_word_codes_on_thresholds_and_bucket_edges(k):
     # bucket b's lower edge b / w as a 53-bit mantissa
     edges = np.arange(w, dtype=np.uint64) << (39 + j)
     ends = np.array([0, (1 << 53) - 1], dtype=np.uint64)
-    on_threshold = 0
+    every_lane = np.arange(1 << 16, dtype=np.uint16)
+    lane_pair = every_lane >> (16 - j) if j else np.zeros(1 << 16, dtype=np.uint16)
+    lane_low = (every_lane & ((1 << (16 - j)) - 1)).astype(np.uint64) << (37 + j)
+    on_threshold = marked = 0
     for cum in rows.reshape(-1, k, 3):
         table = _kernels.bucket_table(cum)
         assert table.shape == (k, w)
@@ -202,31 +230,30 @@ def test_word_codes_on_thresholds_and_bucket_edges(k):
             pair.append(np.full(len(m), p))
         mantissa, pair = np.concatenate(mantissa), np.concatenate(pair)
         junk = rng.bit_generator.random_raw(len(mantissa))
-        code = _kernels.word_codes(words_of(mantissa, pair, k, junk), cum, table)
-        u = mantissa * 2.0**-53
+        lane, extra = lane_draws(mantissa, pair, k, junk)
+        code = refined_lane_codes(lane, extra, cum, table)
         assert code.dtype == np.uint8
-        assert np.array_equal(code, 4 * pair + (u[:, None] >= cum[pair]).sum(axis=1))
+        assert np.array_equal(code, reference_codes(mantissa, pair, cum))
+        u = mantissa * 2.0**-53
         on_threshold += np.count_nonzero(u[:, None] == cum[pair])
+        for word, top in ((0, 0), (2**64 - 1, (1 << (37 + j)) - 1)):
+            extra = np.full(1 << 16, word, dtype=np.uint64)
+            code = refined_lane_codes(every_lane, extra, cum, table)
+            assert np.array_equal(code, reference_codes(lane_low | top, lane_pair, cum))
+        marked += np.count_nonzero(table == 4 * k)
     assert on_threshold >= 23 * 3
-
-
-def test_word_codes_of_one_pair_read_the_generators_uniform():
-    # numpy's PCG64 random() is (raw >> 11) * 2^-53, so with no pair bits a
-    # word's draw is the uniform the generator would have returned
-    raw = np.random.default_rng(12).bit_generator.random_raw(1 << 16)
-    u = np.random.default_rng(12).random(1 << 16)
-    assert np.array_equal((raw >> 11) * 2.0**-53, u)
-    cum = cumulative([[1, 2, 3, 4]])
-    code = _kernels.word_codes(raw, cum, _kernels.bucket_table(cum))
-    assert np.array_equal(code, (u[:, None] >= cum[0]).sum(axis=1))
+    assert marked >= 23 * 3
 
 
 @pytest.mark.parametrize("k", [3, 5, 63])
 def test_word_codes_need_a_power_of_two_pairs(k):
+    # lane_codes reads its pair count off the bucket table, which refuses
+    # any count but a power of two
     cum = cumulative(np.ones((k, 4)))
-    word = np.zeros(4, dtype=np.uint64)
+    lane = np.zeros(4, dtype=np.uint16)
+    refine = np.random.default_rng(1).bit_generator.random_raw
     with pytest.raises(ValueError, match=f"power-of-two pair count, got {k}"):
-        _kernels.word_codes(word, cum, _kernels.bucket_table(cum))
+        _kernels.lane_codes(lane, cum, _kernels.bucket_table(cum), refine)
 
 
 def test_sample_codes_with_63_pairs_keep_code_251():

@@ -422,6 +422,16 @@ class TestEstimate:
         b = estimate_correlation(quantum_mimic_attempt(), 0.1, 1.3, 5000, seed=11)
         assert a == b
 
+    @pytest.mark.parametrize("m", [1, 3, 4000, 1 << 16])
+    def test_one_pair_counts_are_the_bincount(self, m):
+        # full, partial and 1-trial blocks, of random codes and of each
+        # code alone
+        code = np.random.default_rng(m).integers(0, 4, m).astype(np.uint8)
+        for block in (code, *(np.full(m, c, dtype=np.uint8) for c in range(4))):
+            counts = lhv._one_pair_counts(block)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, np.bincount(block, minlength=4))
+
     def test_memory_budget(self, traced_peak):
         # one byte per draw, plus the temporaries of one 65536-draw chunk
         n = 1_000_000
