@@ -148,30 +148,21 @@ def _generate_block(source, schedule, born, child, m):
     any worker) and assembled into the same log.  Each trial of a
     schedule of 2^j pairs reads one lane, whose top j bits are its pair;
     a Born trial reads its outcome from the rest of it through ``born``,
-    the run's ``_born_tables``, and a hidden-variable block samples lam
-    after its lanes; with one pair it draws no lanes.  Hidden-variable
-    outcomes come from ``lhv._outcomes``, the one evaluator, which raises
-    UsageError for a non-finite angle and ValueError for a response
-    outside +-1.
+    the run's ``_born_tables``.  A hidden-variable block samples lam after
+    its lanes (none for one pair) and calls each response once on all of
+    lam, each trial at its own pair's angle, through ``lhv._outcomes``,
+    the one evaluator, which raises UsageError for a non-finite angle of
+    any pair and ValueError for a response outside +-1.
     """
     rng = np.random.default_rng(child)
     raw = rng.bit_generator.random_raw
     if born is not None:
         return _kernels.lane_codes(_lanes(raw, m), *born, raw)
-    if len(schedule.pairs) == 1:  # one pair holds every trial: no pair bits
-        lam = np.asarray(source.sample(rng, m), dtype=np.float64)
-        d, g = _outcomes(source, lam, *schedule.pairs[0])
-        return _kernels.row_code(0, d < 0, g < 0)
     j = len(schedule.pairs).bit_length() - 1
-    idx = (_lanes(raw, m) >> (16 - j)).astype(np.uint8)
+    idx = (_lanes(raw, m) >> (16 - j)).astype(np.uint8) if j else 0
     lam = np.asarray(source.sample(rng, m), dtype=np.float64)
-    code = np.empty(m, dtype=np.uint8)
-    for p, (delta, gamma) in enumerate(schedule.pairs):
-        trials = np.flatnonzero(idx == p)
-        if len(trials):
-            d, g = _outcomes(source, lam[trials], delta, gamma)
-            code[trials] = _kernels.row_code(p, d < 0, g < 0)
-    return code
+    d, g = _outcomes(source, lam, *zip(*schedule.pairs), idx)
+    return _kernels.row_code(idx, d < 0, g < 0)
 
 
 def _blocks(source, schedule: SettingsSchedule, n: int, seed: int):

@@ -20,11 +20,11 @@ Correlations <d*g> are computed two ways:
   of :mod:`bellsim.harness`, the one Monte Carlo engine.
 
 Response functions must be vectorized: they receive a float ndarray of
-lam values and a scalar angle, and return a +-1 integer array of the
-same shape.  ``_outcomes`` is the one evaluator that calls them, and it
-rejects non-finite angles and values outside +-1: the construction probe,
-the quadrature ``_quadrature`` (shared with ``inequalities.LhvSource``)
-and the trial blocks of :mod:`bellsim.harness` all go through it.
+lam values and a scalar angle or one angle per lam value, and return a
++-1 integer array of lam's shape.  ``_outcomes`` is the one evaluator that
+calls them, and it rejects non-finite angles and values outside +-1: the
+construction probe, the quadrature ``_quadrature`` (shared with
+``inequalities.LhvSource``) and :mod:`bellsim.harness`'s blocks use it.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class LhvModel:
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
     sample: Callable[[np.random.Generator, int], np.ndarray]
-    response_d: Callable[[np.ndarray, float], np.ndarray]
-    response_g: Callable[[np.ndarray, float], np.ndarray]
+    response_d: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
+    response_g: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     support: tuple[float, float] | None
 
     def __post_init__(self):
@@ -91,8 +91,16 @@ class LhvModel:
             probe = nodes[:: max(1, len(nodes) // 128)]
         else:
             probe = np.linspace(-100.0, 100.0, 129)
-        for angle in (0.0, 0.7, -2.3):
-            _outcomes(self, probe, angle, angle)
+        angles = (0.0, 0.7, -2.3)
+        scalar = [_outcomes(self, probe, a, a) for a in angles]
+        idx = np.resize(np.arange(3), probe.shape)  # one angle per probe node
+        try:  # each node must get its scalar outcome; float(angle) cannot
+            mixed = _outcomes(self, probe, angles, angles, idx)
+            if not all(map(np.array_equal, mixed, np.choose(idx, scalar))):
+                raise ValueError("a node's outcome depends on the other angles")
+        except (TypeError, ValueError) as exc:
+            message = f"responses of {self.name!r} must take one angle per lam"
+            raise ValueError(message) from exc
         # locality by construction: responses accept (lam, angle) only
         for resp in (self.response_d, self.response_g):
             n_args = len(inspect.signature(resp).parameters)
@@ -106,13 +114,13 @@ def _midpoints(support: tuple[float, float], nodes: int) -> tuple[np.ndarray, fl
     return lo + (np.arange(nodes) + 0.5) * h, h
 
 
-def _outcomes(model, lam: np.ndarray, delta: float, gamma: float):
-    """(response_d(lam, delta), response_g(lam, gamma)) of ``model``, checked
-    before any caller stores them (an int8 store would wrap 255 to -1)."""
-    if not (math.isfinite(delta) and math.isfinite(gamma)):
+def _outcomes(model, lam: np.ndarray, deltas, gammas, idx=0):
+    """(response_d(lam, deltas[idx]), response_g(lam, gammas[idx])) of ``model``: each
+    table angle must be finite, read or not, and each outcome +-1 (int8 wraps 255)."""
+    if not (np.isfinite(deltas).all() and np.isfinite(gammas).all()):
         raise UsageError("analyzer angle must be finite")
-    d = np.asarray(model.response_d(lam, delta))
-    g = np.asarray(model.response_g(lam, gamma))
+    d = np.asarray(model.response_d(lam, np.take(deltas, idx)))
+    g = np.asarray(model.response_g(lam, np.take(gammas, idx)))
     if not (np.all(np.abs(d) == 1) and np.all(np.abs(g) == 1)):
         raise ValueError(f"response of {model.name!r} returned values outside +-1")
     return d, g
@@ -128,7 +136,7 @@ def _quadrature(model: LhvModel, delta: float, gamma: float, nodes: int):
             "quadrature unavailable, use estimate_correlation"
         )
     lam, weight = _midpoints(model.support, nodes)
-    return (model.pdf(lam), weight, *_outcomes(model, lam, delta, gamma))
+    return (model.pdf(lam), weight, *_outcomes(model, lam, float(delta), float(gamma)))
 
 
 def quadrature_correlation(
@@ -168,8 +176,8 @@ _SIGN_SLACK = 1e-9
 _SIGN_RANGE = 1e6
 
 
-def _sign_of_cos(lam: np.ndarray, angle: float) -> np.ndarray:
-    """+1 where cos(lam - angle) >= 0, else -1, as int8.
+def _sign_of_cos(lam: np.ndarray, angle) -> np.ndarray:
+    """+1 where cos(lam - angle) >= 0, else -1, as int8, for one angle or one per lam.
 
     Bit for bit ``np.where(np.cos(lam - angle) >= 0.0, 1, -1).astype(np.int8)``,
     with cos evaluated on few elements.  With x = lam - angle (as numpy
@@ -200,7 +208,8 @@ def _sign_of_cos(lam: np.ndarray, angle: float) -> np.ndarray:
     unsure |= f >= 0.5 - _SIGN_SLACK
     check = np.flatnonzero(unsure)
     if check.size:
-        sign[check] = np.where(np.cos(lam.flat[check] - angle) >= 0.0, 1, -1)
+        x = lam.flat[check] - np.broadcast_to(angle, lam.shape).flat[check]
+        sign[check] = np.where(np.cos(x) >= 0.0, 1, -1)
     return sign.reshape(lam.shape)
 
 

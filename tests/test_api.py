@@ -48,7 +48,17 @@ def test_benchmark_traced_names_exist():
         for module, attr, _, _ in tracing.LAYERS
         if not hasattr(importlib.import_module(f"bellsim.{module}"), attr)
     ]
+    # the tracer also wraps these callables of every model lhv.get_model builds
+    missing += [
+        f"{model.name}.{attr}"
+        for model in bellsim.lhv.builtin_models()
+        for _, counters in tracing.MODEL_SPANS
+        for attr in counters
+        if not callable(getattr(model, attr, None))
+    ]
     assert missing == []
+    wrapped = {attr for _, counters in tracing.MODEL_SPANS for attr in counters}
+    assert wrapped >= {"sample", "response_d", "response_g"}
 
 
 def test_readme_names_exist():

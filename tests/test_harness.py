@@ -118,7 +118,7 @@ class TestRunTrials:
         pairs = ((0.0, 0.4), (1.0, 0.4), (0.0, 0.4), (2.5, -1.0), (0.3, 0.3),
                  (-0.7, 2.2), (1.9, 1.9), (0.3, -0.5))
         assert_lhv_block_matches_per_pair_masks(pairs)
-        # one pair, as lhv-sim runs: its responses see lam itself
+        # one pair, as lhv-sim runs: its responses see lam and scalar angles
         assert_lhv_block_matches_per_pair_masks(((0.4, -1.1),))
 
     def test_lhv_block_with_wide_keys_matches_per_pair_masks(self):
@@ -127,10 +127,22 @@ class TestRunTrials:
         assert_lhv_block_matches_per_pair_masks(pairs)
 
     def test_lhv_block_with_pairs_that_draw_no_trials(self):
-        # 3 trials over 8 pairs: at least 5 pairs select none, and their
-        # responses are never called on an empty selection
+        # 3 trials over 8 pairs: at least 5 pairs draw none, and each wing's
+        # one call sees the 3 trials' own angles only
         pairs = tuple((0.3 * p, -0.2 * p) for p in range(8))
         assert_lhv_block_matches_per_pair_masks(pairs, m=3)
+
+    def test_lhv_block_memory_budget(self, traced_peak):
+        # one full four-pair mimic block: lam, one wing's per-trial angles at
+        # a time and the response temporaries
+        model = quantum_mimic_attempt()
+        schedule = chsh_schedule(*SINGLET_CHSH_ANGLES)
+        child = np.random.SeedSequence(23)
+        code, peak = traced_peak(
+            lambda: harness._generate_block(model, schedule, None, child, BLOCK_SIZE)
+        )
+        assert len(code) == BLOCK_SIZE
+        assert peak <= 5 << 19  # 2.5 MiB
 
     @pytest.mark.parametrize("n_pairs, dtype", [(4, np.uint8), (32, np.uint8)])
     def test_pair_index_is_stored_narrow(self, n_pairs, dtype):
@@ -291,15 +303,16 @@ def pair_bits(child, m, n_pairs):
 
 
 def assert_lhv_block_matches_per_pair_masks(pairs, m=70_000):
-    # reference: select each pair's trials with a boolean mask; each
-    # response call must see exactly the lam values, in trial order,
-    # that the mask selects
+    # reference: select each pair's trials with a boolean mask and evaluate
+    # the responses there; the block itself calls each response once, on
+    # the block's lam in trial order, with each trial's own pair angle (a
+    # scalar for one pair)
     model = quantum_mimic_attempt()
     seen = []
 
     def recording(response):
         def respond(lam, angle):
-            seen.append(lam.copy())
+            seen.append((lam.copy(), np.copy(angle)))
             return response(lam, angle)
 
         return respond
@@ -326,18 +339,22 @@ def assert_lhv_block_matches_per_pair_masks(pairs, m=70_000):
     lam = model.sample(rng, m)
     expected_d = np.empty(m, dtype=np.int8)
     expected_g = np.empty(m, dtype=np.int8)
-    expected_seen = []
     for p, (delta, gamma) in enumerate(pairs):
         mask = idx == p
         if not mask.any():
             continue
         expected_d[mask] = model.response_d(lam[mask], delta)
         expected_g[mask] = model.response_g(lam[mask], gamma)
-        expected_seen += [lam[mask], lam[mask]]
     assert np.array_equal(d, expected_d)
     assert np.array_equal(g, expected_g)
-    assert len(seen) == len(expected_seen)
-    assert all(np.array_equal(a, b) for a, b in zip(seen, expected_seen))
+    # exactly two response calls, d then g, each wing seeing its own angles
+    assert len(seen) == 2
+    for (seen_lam, seen_angle), angles in zip(seen, zip(*pairs)):
+        assert np.array_equal(seen_lam, lam)
+        if len(pairs) == 1:
+            assert seen_angle.shape == () and seen_angle == angles[0]
+        else:
+            assert np.array_equal(seen_angle, np.array(angles)[idx])
 
 
 class TestTabulate:
@@ -592,3 +609,14 @@ def test_input_bounds_raise_usage_error(call, message):
         call()
     assert isinstance(info.value, ValueError)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_schedule_angle_is_checked(seed):
+    # one trial over 8 pairs: whichever pair it draws, the nan angle of the
+    # last pair raises, in an LHV run as in a Born run
+    pairs = tuple((0.3 * p, -0.2 * p) for p in range(7)) + ((math.nan, 0.0),)
+    schedule = SettingsSchedule(pairs=pairs)
+    for source in (sign_model(), quantum_mimic_attempt(), SINGLET):
+        with pytest.raises(bellsim.UsageError, match=NOT_FINITE):
+            run_trials(source, schedule, 1, seed)

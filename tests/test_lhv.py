@@ -115,6 +115,29 @@ class TestModelInvariants:
                 support=(0.0, 1.0),
             )
 
+    @pytest.mark.parametrize(
+        "response",
+        [
+            # reads its angle as one float, so fails on one angle per lam
+            lambda lam, angle: lhv._sign_of_cos(lam, float(angle)),
+            # takes an angle array but answers every lam at its first angle
+            lambda lam, angle: lhv._sign_of_cos(lam, np.ravel(angle)[0]),
+        ],
+        ids=["float_angle", "first_angle_only"],
+    )
+    def test_rejects_response_that_needs_a_scalar_angle(self, response):
+        # a block calls each response once with one angle per trial: a
+        # response that cannot take that fails when the model is built
+        with pytest.raises(ValueError, match="must take one angle per lam"):
+            LhvModel(
+                name="scalar_only",
+                pdf=lambda lam: np.full(np.shape(lam), 1.0 / TWO_PI),
+                sample=lambda rng, n: rng.uniform(0.0, TWO_PI, n),
+                response_d=lambda lam, angle: lhv._sign_of_cos(lam, angle),
+                response_g=response,
+                support=(0.0, TWO_PI),
+            )
+
     def test_get_model(self):
         assert get_model("sign_model").name == "sign_model"
         with pytest.raises(KeyError, match="unknown model"):
@@ -286,6 +309,30 @@ class TestSignOfCos:
     )
     def test_random_inputs_match_cos(self, lam, angle):
         self.assert_matches_oracle(lam, angle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.float64, st.integers(1, 300), elements=st.floats(-10.0, 10.0)),
+        st.data(),
+    )
+    def test_angle_arrays_match_cos(self, angle, data):
+        # one angle per lam, as a block's responses get them; kinds 1 to 5
+        # force the cos fallback: x = lam - angle within 1e-9 of a turn of a
+        # zero of cos, |x| > 1e6, inf and nan
+        n = len(angle)
+        kind = data.draw(arrays(np.intp, n, elements=st.integers(0, 5)))
+        u = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+        turns = data.draw(arrays(np.intp, n, elements=st.integers(-3, 3)))
+        zeros = np.where(u < 0.0, -0.5, 0.5) * math.pi + TWO_PI * turns
+        x = np.choose(kind, [
+            50.0 * u,
+            zeros + 0.9 * TWO_PI * lhv._SIGN_SLACK * u,
+            np.copysign(2e6, u) * 10.0 ** (290.0 * np.abs(u)),
+            np.full(n, np.inf),
+            np.full(n, -np.inf),
+            np.full(n, np.nan),
+        ])
+        self.assert_matches_oracle(angle + x, angle)
 
     def test_many_uniform_draws_match_cos(self):
         lam = np.random.default_rng(21).uniform(-20.0, 20.0, 1_000_000)
