@@ -35,6 +35,7 @@ File formats (stable):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -135,7 +136,7 @@ def write_trials_csv(path: str, log: harness.TrialLog, angles_deg) -> None:
     if not all(math.isfinite(a) for a in angles):
         raise UsageError("angles must be finite")
     delta, delta_prime, gamma, gamma_prime = angles
-    rows = np.array([row + "\n" for row in _TRIAL_ROWS], dtype=object)
+    triples = _three_trial_rows()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f"# angles_deg: delta={delta!r},delta_prime={delta_prime!r},"
@@ -143,7 +144,24 @@ def write_trials_csv(path: str, log: harness.TrialLog, angles_deg) -> None:
         )
         # a chunk of rows at a time: no list or text of the whole body
         for start in range(0, len(log), _kernels._CHUNK):
-            fh.write("".join(rows[log.code[start : start + _kernels._CHUNK]].tolist()))
+            code = log.code[start : start + _kernels._CHUNK]
+            if code.max() >= len(_TRIAL_ROWS):
+                raise IndexError(f"row code {code.max()} has no trial CSV row")
+            # three rows per lookup, then the last one or two singly
+            end = len(code) - len(code) % 3
+            key = code[0:end:3].astype(np.uint16) << 8
+            key |= code[1:end:3] << 4
+            key |= code[2:end:3]
+            fh.write("".join(triples[key].tolist()))
+            fh.write("".join(f"{_TRIAL_ROWS[c]}\n" for c in code[end:].tolist()))
+
+
+@functools.cache
+def _three_trial_rows():
+    """The 4096 texts of three trial CSV rows, indexed by ``(c0 * 16 + c1)
+    * 16 + c2``; built on first use."""
+    rows = [row + "\n" for row in _TRIAL_ROWS]
+    return np.array([a + b + c for a in rows for b in rows for c in rows], dtype=object)
 
 
 def _parse_trial_row(line: str, number: int):

@@ -29,6 +29,7 @@ construction probe, the quadrature ``_quadrature`` (shared with
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -272,12 +273,12 @@ def quantum_mimic_attempt() -> LhvModel:
     interpolation error is orders of magnitude below Monte Carlo
     resolution at any practical sample count.  A bucketed index
     (:class:`_BucketedInverseCdf`) reads the table in constant time per
-    draw and returns exactly what ``np.interp`` would.  The responses are
-    the sign model's (:func:`_sign_of_cos`), which calls cos only on the
-    few draws within 1e-9 of a turn of a response threshold.
+    draw and returns exactly what ``np.interp`` would; it is built once per
+    process, read-only, and shared by every (still validated) model.  The
+    responses are the sign model's (:func:`_sign_of_cos`), which calls cos
+    only on the few draws within 1e-9 of a turn of a response threshold.
     """
-    lam_table = np.linspace(0.0, TWO_PI, 16385)
-    inverse_cdf = _BucketedInverseCdf(_mimic_cdf(lam_table), lam_table)
+    inverse_cdf = _mimic_inverse_cdf()
     return LhvModel(
         name="quantum_mimic_attempt",
         pdf=_mimic_pdf,
@@ -286,6 +287,16 @@ def quantum_mimic_attempt() -> LhvModel:
         response_g=lambda lam, angle: -_sign_of_cos(lam, angle),
         support=(0.0, TWO_PI),
     )
+
+
+@functools.cache
+def _mimic_inverse_cdf() -> _BucketedInverseCdf:
+    """The mimic's inverse CDF, built on first use; its arrays are read-only."""
+    lam_table = np.linspace(0.0, TWO_PI, 16385)
+    inverse_cdf = _BucketedInverseCdf(_mimic_cdf(lam_table), lam_table)
+    for table in vars(inverse_cdf).values():
+        table.setflags(write=False)
+    return inverse_cdf
 
 
 class _BucketedInverseCdf:

@@ -214,6 +214,15 @@ def trial_log(pair_index, d, g):
     )
 
 
+def code_log(code):
+    """A four-pair log of the given row codes, as uint8."""
+    return harness.TrialLog(
+        pairs=harness.chsh_schedule(0.0, 0.0, 0.0, 0.0).pairs,
+        code=np.asarray(code, dtype=np.uint8),
+        source_description="test",
+    )
+
+
 finite_angles = st.floats(-720.0, 720.0, allow_nan=False)
 
 
@@ -281,6 +290,46 @@ class TestTrialCsvRoundTrip:
         with pytest.raises(cli.UsageError, match="angles must be finite"):
             write_trials_csv(str(path), log, (0.0, bad, 0.0, 0.0))
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 3, 4, 5, 6, 7]
+        + [_kernels._CHUNK + i for i in (-2, -1, 0, 1, 2, 3, 4)]
+        + [2 * _kernels._CHUNK + i for i in (-1, 0, 1, 2)],
+    )
+    def test_body_is_the_row_of_each_code(self, tmp_path, n):
+        # three rows per lookup and the last one or two of a chunk singly:
+        # byte for byte the rows of _TRIAL_ROWS, one per code in turn
+        code = np.random.default_rng(n).integers(0, 16, size=n).astype(np.uint8)
+        path = tmp_path / "t.csv"
+        write_trials_csv(str(path), code_log(code), (0.0, -90.0, 135.0, -135.0))
+        rows = "".join(f"{cli._TRIAL_ROWS[c]}\n" for c in code.tolist())
+        want = f"{TRIAL_CSV_HEADER}\n{cli.TRIAL_CSV_COLUMNS}\n{rows}"
+        assert path.read_bytes() == want.encode()
+
+    def test_every_three_rows_in_a_row(self, tmp_path):
+        # all 4096 (c0, c1, c2) triples in order, then one row
+        code = np.append(np.indices((16, 16, 16)).reshape(3, -1).T.ravel(), 15)
+        path = tmp_path / "t.csv"
+        write_trials_csv(str(path), code_log(code), (0.0, -90.0, 135.0, -135.0))
+        rows = [cli._TRIAL_ROWS[c] for c in code.tolist()]
+        assert path.read_text().splitlines()[2:] == rows
+
+    @pytest.mark.parametrize("place", [0, 1, 2, 3, 4, _kernels._CHUNK])
+    def test_code_without_a_row_raises_index_error(self, tmp_path, place):
+        # the four pair labels give 16 rows, so an 8-pair log (codes up to
+        # 31) has no trial CSV; a code of 16 in any place of a lookup of
+        # three rows, or in a chunk's last row, raises
+        eight = harness.SettingsSchedule(pairs=tuple((0.1 * p, 0.0) for p in range(8)))
+        log = harness.run_trials(
+            bellsim.make_state(bellsim.StateKind.SPIN_ANTICORRELATED), eight, 100, seed=1
+        )
+        assert log.code.max() > 15
+        code = np.zeros(_kernels._CHUNK + 1, dtype=np.uint8)
+        code[place] = 16
+        for bad in (log, code_log(code[: max(place + 1, 5)])):
+            with pytest.raises(IndexError):
+                write_trials_csv(str(tmp_path / "t.csv"), bad, (0.0, 0.0, 0.0, 0.0))
 
     def test_memory_budget(self, tmp_path, traced_peak):
         # a 1-byte row code per trial plus one chunk of rows as text;

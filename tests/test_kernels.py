@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bellsim import _kernels, harness
-from bellsim.qstate import StateKind, closed_form_correlation
+from bellsim.qstate import StateKind, closed_form_correlation, make_state
 
 
 def random_inputs(seed, n=50_000, k=4):
@@ -311,6 +311,43 @@ def test_bucket_table_size_is_bounded():
         assert table.nbytes == 16 << 10
 
 
+def oracle_bucket_table(cum):
+    """The bucket table as first written: (k, w, 3) broadcasts of every
+    threshold against every bucket, reduced over the thresholds."""
+    k = len(cum)
+    w = (1 << 14) // k
+    t = cum[:, None, :]
+    lo = np.arange(w)[:, None] / w
+    count = (t <= lo).sum(axis=2)
+    inside = ((t > lo) & (t < lo + 1 / w)).any(axis=2)
+    return np.where(inside, 4 * k, 4 * np.arange(k)[:, None] + count).astype(np.uint8)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32])
+def test_bucket_table_matches_the_broadcast(k):
+    # thresholds at 0 and 1, on bucket edges and one ulp beside them, tied
+    # and out of order (as rounding can leave a row, which stays exact),
+    # random cumulative rows, and the Born tables of all four states
+    w = (1 << 14) // k
+    rng = np.random.default_rng(60 + k)
+    on_edges = rng.integers(0, w + 1, size=(24, 3)) / w
+    beside = np.nextafter(on_edges, rng.choice([-1.0, 2.0], size=on_edges.shape))
+    tied = np.repeat(rng.integers(0, w + 1, size=(6, 1)) / w, 3, axis=1)
+    rows = np.concatenate([
+        EDGE_ROWS, [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
+        np.sort(on_edges, axis=1), on_edges, beside, tied,
+        cumulative(rng.integers(0, 9, size=(24, 4)) + [0, 0, 0, 1]),
+    ])
+    tables = [np.resize(rows, (-(-len(rows) // k) * k, 3)).reshape(-1, k, 3)]
+    lattice = np.radians(22.5) * rng.integers(-16, 17, size=(k, 2))
+    for kind in StateKind:
+        for pairs in (lattice, rng.uniform(-2 * np.pi, 2 * np.pi, size=(k, 2))):
+            cum, _ = harness._born_tables(make_state(kind), pairs)
+            tables.append(cum[None])
+    for cum in np.concatenate(tables):
+        assert_identical([_kernels.bucket_table(cum)], [oracle_bucket_table(cum)])
+
+
 @pytest.mark.parametrize(
     "draw",
     [1.0, -0.5, 2.0, np.nan, np.inf, -np.inf, -0.0, np.nextafter(1.0, 2.0), 1e300],
@@ -365,7 +402,7 @@ def test_count_outcomes_matches_oracle(n_pairs, n, seed):
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("n_pairs", [4, 63])
+@pytest.mark.parametrize("n_pairs", [1, 4, 32, 63])
 def test_count_outcomes_across_chunk_boundary(offset, n_pairs):
     # tabulate, the tally's one chunk loop, hands count_outcomes _CHUNK
     # trials at a time; the last trial decides whether the final chunk is
@@ -374,13 +411,32 @@ def test_count_outcomes_across_chunk_boundary(offset, n_pairs):
     pair_index, d, g = random_log(n + n_pairs, n, n_pairs)
     pair_index[-1] = n_pairs - 1
     d[-1] = g[-1] = -1
+    code = _kernels.row_code(pair_index, d < 0, g < 0)
     log = harness.TrialLog(
         pairs=tuple((0.01 * p, 0.0) for p in range(n_pairs)),
-        code=_kernels.row_code(pair_index, d < 0, g < 0),
+        code=code,
         source_description="test",
     )
     got = harness.tabulate(log).counts
     assert_identical([got], [oracle_count_outcomes(pair_index, d, g, n_pairs)])
+    want = np.bincount(code, minlength=4 * n_pairs).reshape(n_pairs, 4)
+    assert_identical([got], [want])
+    assert got.sum() == n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 65535, 65536])
+@pytest.mark.parametrize("n_pairs", [1, 4, 32, 63])
+def test_packed_tally_is_the_bincount(n_pairs, n):
+    # count_outcomes bincounts two codes per uint16 and adds an odd last
+    # one: slices of either parity, and the top code 4 * n_pairs - 1 (251
+    # for 63 pairs) in the low byte, the high byte and the last place
+    pair_index, d, g = random_log(7 * n + n_pairs, n, n_pairs)
+    pair_index[-3:] = n_pairs - 1
+    d[-3:] = g[-3:] = -1
+    code = _kernels.row_code(pair_index, d < 0, g < 0)
+    got = _kernels.count_outcomes(pair_index, d, g, n_pairs)
+    want = np.bincount(code, minlength=4 * n_pairs).reshape(n_pairs, 4)
+    assert_identical([got], [want])
     assert got.sum() == n
 
 

@@ -144,6 +144,8 @@ class TestModelInvariants:
             get_model("nonesuch")
 
     def test_get_model_builds_only_the_named_model(self, monkeypatch):
+        # the mimic's table is cached: clear it, so a build would show
+        lhv._mimic_inverse_cdf.cache_clear()
         built = []
         monkeypatch.setattr(lhv, "_BucketedInverseCdf", lambda *a: built.append(a))
         assert get_model("sign_model").name == "sign_model"
@@ -154,6 +156,29 @@ class TestModelInvariants:
             "unknown model 'nonesuch' (available: "
             "sign_model, constant_model, quantum_mimic_attempt)"
         )
+
+    def test_mimic_table_is_built_once_and_read_only(self, monkeypatch):
+        # every get_model call validates a new model; the inverse-CDF table
+        # behind them is built once and cannot be written
+        validated = []
+        post_init = LhvModel.__post_init__
+        monkeypatch.setattr(
+            LhvModel, "__post_init__", lambda m: (validated.append(m.name), post_init(m))
+        )
+        lhv._mimic_inverse_cdf.cache_clear()
+        first = get_model("quantum_mimic_attempt")
+        second = get_model("quantum_mimic_attempt")
+        assert first is not second
+        assert validated == ["quantum_mimic_attempt"] * 2
+        assert lhv._mimic_inverse_cdf.cache_info().misses == 1
+        draws = [m.sample(np.random.default_rng(5), 1000) for m in (first, second)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+        tables = vars(lhv._mimic_inverse_cdf()).values()
+        assert len(tables) == 6
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+        assert draws[0].tobytes() == first.sample(np.random.default_rng(5), 1000).tobytes()
 
     def test_rejects_nan_density(self):
         with pytest.raises(ValueError, match="integrates"):
